@@ -42,7 +42,6 @@ from .oracle import (
     shortest_tree_path,
     tree_distance,
     tree_graph_diameter,
-    tree_key,
 )
 from .partition import partition2, partition2_with_strategy, validate_partition2
 from .walk import (
@@ -107,7 +106,6 @@ __all__ = [
     "tree_distance",
     "tree_from_edges",
     "tree_graph_diameter",
-    "tree_key",
     "trees_adjacent",
     "trees_adjacent_via_move",
     "validate_partition2",

@@ -91,7 +91,7 @@ def _cmd_walk(args) -> int:
 def _cmd_verify(args) -> int:
     g = _load_graph(args.graph)
     seq = parse_walk_moves(_read(args.walk))
-    report = verify_walk(g, seq.trees[0].root, seq)
+    report = verify_walk(g, seq.source.root, seq)
     print(report.summary())
     return 0 if report.ok else 2
 

@@ -113,13 +113,6 @@ class RootedSpanningTree:
     def edges(self) -> frozenset[tuple[int, int]]:
         return frozenset(_norm(v, p) for v, p in enumerate(self.parents) if v != self.root)
 
-    def child_counts(self) -> list[int]:
-        counts = [0] * self.n
-        for v, p in enumerate(self.parents):
-            if v != self.root:
-                counts[p] += 1
-        return counts
-
     def is_leaf(self, v: int) -> bool:
         return all(p != v for w, p in enumerate(self.parents) if w != self.root)
 
@@ -138,18 +131,6 @@ class LeafMove:
 
     def reversed(self) -> LeafMove:
         return LeafMove(self.vertex, self.new_parent, self.old_parent)
-
-
-def _tree_unchecked(root: int, parents: tuple[int, ...]) -> RootedSpanningTree:
-    """Build a tree skipping shape validation; caller guarantees the invariants.
-
-    Used on hot paths that snapshot thousands of intermediate trees derived
-    from already-validated ones by single certified moves.
-    """
-    t = object.__new__(RootedSpanningTree)
-    object.__setattr__(t, "root", root)
-    object.__setattr__(t, "parents", parents)
-    return t
 
 
 def is_spanning_tree(g: Graph, t: RootedSpanningTree) -> bool:
@@ -210,7 +191,9 @@ def apply_leaf_move(t: RootedSpanningTree, move: LeafMove, g: Graph) -> RootedSp
     parents = list(t.parents)
     parents[v] = move.new_parent
     result = RootedSpanningTree(t.root, tuple(parents))
-    assert is_spanning_tree(g, result)
+    problem = spanning_tree_violation(g, result)
+    if problem is not None:
+        raise ValueError(f"result is not a spanning tree: {problem}")
     return result
 
 

@@ -32,11 +32,6 @@ class TreeGraphDisconnectedError(RuntimeError):
     2-connected graphs; raised loudly instead of returning a sentinel)."""
 
 
-def tree_key(t: RootedSpanningTree) -> tuple[int, ...]:
-    """Canonical hashable encoding of a rooted tree: its parent array."""
-    return t.parents
-
-
 def enumerate_spanning_trees(
     g: Graph, root: int = 0, cap: int = DEFAULT_CAP
 ) -> list[RootedSpanningTree]:
@@ -205,7 +200,7 @@ def tree_distance(
     """Exact minimum number of leaf moves between two trees rooted at ``a``."""
     if t.root != a or t_prime.root != a:
         raise ValueError(f"both trees must be rooted at {a}")
-    start, goal = tree_key(t), tree_key(t_prime)
+    start, goal = t.parents, t_prime.parents
     dist, _ = _bfs(g, a, start, goal, cap, want_parents=False)
     if goal not in dist:
         raise TreeGraphDisconnectedError(
@@ -224,7 +219,7 @@ def shortest_tree_path(
     """One BFS-shortest walk between the two trees, as a verifiable sequence."""
     if t.root != a or t_prime.root != a:
         raise ValueError(f"both trees must be rooted at {a}")
-    start, goal = tree_key(t), tree_key(t_prime)
+    start, goal = t.parents, t_prime.parents
     dist, pred = _bfs(g, a, start, goal, cap, want_parents=True)
     if goal not in dist:
         raise TreeGraphDisconnectedError(
@@ -235,14 +230,13 @@ def shortest_tree_path(
     while keys[-1] != start:
         keys.append(pred[keys[-1]])
     keys.reverse()
-    trees = tuple(RootedSpanningTree(a, key) for key in keys)
     moves = []
     for before, after in zip(keys, keys[1:]):
         changed = [v for v in range(g.n) if before[v] != after[v]]
         assert len(changed) == 1
         v = changed[0]
         moves.append(LeafMove(v, before[v], after[v]))
-    return WalkSequence(trees, tuple(moves))
+    return WalkSequence(t, tuple(moves))
 
 
 def tree_graph_diameter(g: Graph, a: int, cap: int = DEFAULT_CAP) -> int:
@@ -251,7 +245,7 @@ def tree_graph_diameter(g: Graph, a: int, cap: int = DEFAULT_CAP) -> int:
     total = len(all_trees)
     best = 0
     for t in all_trees:
-        dist, _ = _bfs(g, a, tree_key(t), None, cap, want_parents=False)
+        dist, _ = _bfs(g, a, t.parents, None, cap, want_parents=False)
         if len(dist) != total:
             raise TreeGraphDisconnectedError(
                 f"BFS from one tree reached {len(dist)} of {total} trees"
@@ -280,22 +274,20 @@ class WalkAnalysis:
 
 
 def removal_times(seq: WalkSequence, probes: Sequence[tuple[int, int]]) -> WalkAnalysis:
-    """Scan a walk for the first step at which each probed edge disappears.
+    """Scan a walk's moves once for the first step at which each probed edge disappears.
 
-    Valid walks change at most one edge per step, so finite removal times are
-    pairwise distinct; a collision means the input is not a leaf-move walk.
+    Each move changes one parent entry, so at most one edge leaves per step.
     """
     norm_probes = tuple((u, v) if u < v else (v, u) for u, v in probes)
-    edge_sets = [t.edges() for t in seq.trees]
-    times: list[int | None] = []
-    for e in norm_probes:
-        found = None
-        for step in range(len(edge_sets) - 1):
-            if e in edge_sets[step] and e not in edge_sets[step + 1]:
-                found = step + 1
-                break
-        times.append(found)
-    finite = [t for t in times if t is not None]
-    if len(finite) != len(set(finite)):
-        raise ValueError("two probed edges leave at the same step; not a leaf-move walk")
-    return WalkAnalysis(norm_probes, tuple(times), len(seq.trees))
+    first: dict[tuple[int, int], int | None] = dict.fromkeys(norm_probes)
+    parents = list(seq.source.parents)
+    for step, mv in enumerate(seq.moves, start=1):
+        v = mv.vertex
+        p = parents[v]
+        parents[v] = mv.new_parent
+        # The edge {v, p} survives if it was also held the other way round.
+        if p != mv.new_parent and parents[p] != v:
+            e = (v, p) if v < p else (p, v)
+            if e in first and first[e] is None:
+                first[e] = step
+    return WalkAnalysis(norm_probes, tuple(first[e] for e in norm_probes), len(seq))

@@ -15,16 +15,15 @@ concatenated with another, so its length is at most 2n(n-1) moves.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator
 
 from .connectivity import NotBiconnectedError, STNumbering, is_biconnected, st_numbering
 from .graph import (
     Graph,
     LeafMove,
     RootedSpanningTree,
-    _tree_unchecked,
-    is_spanning_tree,
     spanning_tree_violation,
     trees_adjacent,
 )
@@ -43,29 +42,70 @@ class LeafClaimError(AssertionError):
         super().__init__(f"vertex {vertex} is not a leaf in {parents}")
 
 
+def _replay(source: RootedSpanningTree, moves: Iterable[LeafMove]) -> RootedSpanningTree:
+    parents = list(source.parents)
+    for mv in moves:
+        parents[mv.vertex] = mv.new_parent
+    return RootedSpanningTree(source.root, tuple(parents))
+
+
 @dataclass(frozen=True)
 class WalkSequence:
-    """Trees visited plus the moves between them; ``moves[i]`` maps trees[i] to trees[i+1]."""
+    """A walk as its first tree plus its moves; ``moves[i]`` maps tree i to tree i+1.
 
-    trees: tuple[RootedSpanningTree, ...]
+    The intermediate trees are not stored: :attr:`trees` rebuilds them from
+    the moves on demand, so a walk of L moves on n vertices costs O(n + L)
+    memory rather than O(n L).
+    """
+
+    source: RootedSpanningTree
     moves: tuple[LeafMove, ...]
 
     @property
-    def source(self) -> RootedSpanningTree:
-        return self.trees[0]
+    def trees(self) -> WalkTrees:
+        return WalkTrees(self)
 
     @property
     def target(self) -> RootedSpanningTree:
-        return self.trees[-1]
+        return _replay(self.source, self.moves)
 
     def __len__(self) -> int:
-        return len(self.trees)
+        return len(self.moves) + 1
 
     def reverse(self) -> WalkSequence:
-        return WalkSequence(
-            tuple(reversed(self.trees)),
-            tuple(m.reversed() for m in reversed(self.moves)),
-        )
+        return WalkSequence(self.target, tuple(m.reversed() for m in reversed(self.moves)))
+
+
+class WalkTrees(Sequence):
+    """Read-only view of the trees a walk visits; its length costs O(1), each tree a replay."""
+
+    __slots__ = ("_walk",)
+
+    def __init__(self, walk: WalkSequence):
+        self._walk = walk
+
+    def __len__(self) -> int:
+        return len(self._walk.moves) + 1
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self)[i]
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("tree index out of range")
+        return _replay(self._walk.source, self._walk.moves[:i])
+
+    def __iter__(self) -> Iterator[RootedSpanningTree]:
+        source = self._walk.source
+        parents = list(source.parents)
+        yield source
+        for mv in self._walk.moves:
+            parents[mv.vertex] = mv.new_parent
+            yield RootedSpanningTree(source.root, tuple(parents))
+
+    def __reversed__(self) -> Iterator[RootedSpanningTree]:
+        return iter(self._walk.reverse().trees)
 
 
 def _extreme_neighbors(g: Graph, num: STNumbering) -> tuple[list[int], list[int]]:
@@ -100,14 +140,19 @@ def _milestone_parents(
     return parents
 
 
+def _checked_tree(g: Graph, root: int, parents: list[int], what: str) -> RootedSpanningTree:
+    result = RootedSpanningTree(root, tuple(parents))
+    problem = spanning_tree_violation(g, result)
+    if problem is not None:
+        raise AssertionError(f"{what} is not a spanning tree: {problem}")
+    return result
+
+
 def canonical_tree(g: Graph, num: STNumbering) -> RootedSpanningTree:
     """Last vertex hangs from the first; everyone else from their highest-positioned neighbor."""
     root = num.order[0]
     _, hi = _extreme_neighbors(g, num)
-    parents = _milestone_parents(g, num, {root}, (), hi)
-    result = RootedSpanningTree(root, tuple(parents))
-    assert is_spanning_tree(g, result)
-    return result
+    return _checked_tree(g, root, _milestone_parents(g, num, {root}, (), hi), "canonical tree")
 
 
 def milestone_tree(
@@ -120,9 +165,7 @@ def milestone_tree(
         raise ValueError("member set must contain the root")
     _, hi = _extreme_neighbors(g, num)
     parents = _milestone_parents(g, num, inside, t_prime.parents, hi)
-    result = RootedSpanningTree(root, tuple(parents))
-    assert is_spanning_tree(g, result)
-    return result
+    return _checked_tree(g, root, parents, "milestone tree")
 
 
 def select_boundary_edge(
@@ -163,43 +206,50 @@ def select_boundary_edge(
     return best_anchor, best_newcomer
 
 
-def gap_sequence(
-    t_k: RootedSpanningTree,
-    members: Iterable[int],
-    t_prime: RootedSpanningTree,
-    num: STNumbering,
+def _child_counts(parents: Sequence[int]) -> list[int]:
+    kids = [0] * len(parents)
+    for p in parents:
+        if p >= 0:
+            kids[p] += 1
+    return kids
+
+
+def _advance_stage(
     g: Graph,
-    boundary: tuple[int, int] | None = None,
-    ext: tuple[list[int], list[int]] | None = None,
-) -> tuple[list[LeafMove], RootedSpanningTree]:
-    """Advance one stage: from the tree for ``members`` to the tree for members + newcomer.
+    num: STNumbering,
+    parents: list[int],
+    kids: list[int],
+    inside: set[int],
+    t_prime: RootedSpanningTree,
+    ext: tuple[list[int], list[int]],
+    moves: list[LeafMove],
+) -> None:
+    """One stage in place on ``parents``/``kids``: absorb the next newcomer into ``inside``.
 
-    First loop, ascending positions over outside vertices: everything before
-    the newcomer drops to its lowest-positioned neighbor, then the newcomer
-    attaches to its anchor and the loop stops.  Second loop, descending: the
-    dropped vertices return to their highest-positioned neighbors.  Moves
-    whose new parent equals the current parent are elided from the output.
-
-    ``ext`` may carry the (lowest, highest) neighbor tables from
-    :func:`_extreme_neighbors` to avoid recomputing them per stage.
+    In ascending positions, every outside vertex before the newcomer drops to
+    its lowest-positioned neighbor, and then the newcomer attaches to its
+    anchor.  In descending positions, the dropped vertices return to their
+    highest-positioned neighbors.  Moves whose new parent equals the current
+    parent are elided from ``moves``.  The stage must end exactly at the
+    milestone tree for the grown set.
     """
-    inside = set(members)
-    if boundary is None:
-        boundary = select_boundary_edge(t_prime, inside, num)
-    anchor, newcomer = boundary
-    n = g.n
-    root = t_k.root
+    anchor, newcomer = select_boundary_edge(t_prime, inside, num)
     last = num.order[-1]
-    lo, hi = ext if ext is not None else _extreme_neighbors(g, num)
+    lo, hi = ext
     pos = num.positions
-    parents = list(t_k.parents)
-    kids = [0] * n
-    for v in range(n):
-        if v != root:
-            kids[parents[v]] += 1
-    moves: list[LeafMove] = []
-
-    def reattach(v: int, new_parent: int) -> None:
+    dropped: list[int] = []
+    for v in num.order:  # ascending positions
+        if v in inside:
+            continue
+        if v == newcomer:
+            break
+        assert v != last, "only the newcomer may be the last-positioned vertex here"
+        assert pos[lo[v]] < pos[v]
+        dropped.append(v)
+    schedule = [(v, lo[v]) for v in dropped]
+    schedule.append((newcomer, anchor))
+    schedule.extend((v, hi[v]) for v in reversed(dropped))
+    for v, new_parent in schedule:
         if kids[v]:
             raise LeafClaimError(v, tuple(parents))
         old_parent = parents[v]
@@ -208,58 +258,58 @@ def gap_sequence(
             kids[old_parent] -= 1
             kids[new_parent] += 1
             moves.append(LeafMove(v, old_parent, new_parent))
+    inside.add(newcomer)
+    if parents != _milestone_parents(g, num, inside, t_prime.parents, hi):
+        raise AssertionError(f"stage absorbing {newcomer} missed its milestone tree")
 
-    dropped: list[int] = []
-    for v in num.order:  # ascending positions
-        if v in inside:
-            continue
-        if v == newcomer:
-            reattach(v, anchor)
-            break
-        assert v != last, "only the newcomer may be the last-positioned vertex here"
-        assert pos[lo[v]] < pos[v]
-        reattach(v, lo[v])
-        dropped.append(v)
-    for v in reversed(dropped):
-        reattach(v, hi[v])
 
-    t_next = RootedSpanningTree(root, tuple(parents))
-    assert t_next.parents == tuple(
-        _milestone_parents(g, num, inside | {newcomer}, t_prime.parents, hi)
+def gap_sequence(
+    t_k: RootedSpanningTree,
+    members: Iterable[int],
+    t_prime: RootedSpanningTree,
+    num: STNumbering,
+    g: Graph,
+) -> tuple[list[LeafMove], RootedSpanningTree]:
+    """Advance one stage: from the tree for ``members`` to the tree for members + newcomer.
+
+    The newcomer is the one :func:`select_boundary_edge` picks; see
+    :func:`_advance_stage` for the moves.
+    """
+    parents = list(t_k.parents)
+    moves: list[LeafMove] = []
+    _advance_stage(
+        g, num, parents, _child_counts(parents), set(members), t_prime,
+        _extreme_neighbors(g, num), moves,
     )
-    return moves, t_next
+    return moves, RootedSpanningTree(t_k.root, tuple(parents))
 
 
 def walk_from_canonical(
     g: Graph, num: STNumbering, t_prime: RootedSpanningTree
 ) -> WalkSequence:
-    """Walk from the canonical tree for ``num`` to ``t_prime`` in at most n(n-1) moves."""
+    """Walk from the canonical tree for ``num`` to ``t_prime`` in at most n(n-1) moves.
+
+    All n-1 stages advance one parent array in place.
+    """
     root = num.order[0]
     if t_prime.root != root:
         raise ValueError(f"target is rooted at {t_prime.root}, numbering starts at {root}")
     start = canonical_tree(g, num)
     if t_prime == start:
-        return WalkSequence((start,), ())
+        return WalkSequence(start, ())
     n = g.n
     ext = _extreme_neighbors(g, num)
     members = {root}
-    trees = [start]
-    all_moves: list[LeafMove] = []
-    current = start
     parents = list(start.parents)
+    kids = _child_counts(parents)
+    moves: list[LeafMove] = []
     for _ in range(n - 1):
-        boundary = select_boundary_edge(t_prime, members, num)
-        moves, current = gap_sequence(
-            current, members, t_prime, num, g, boundary=boundary, ext=ext
-        )
-        for mv in moves:
-            parents[mv.vertex] = mv.new_parent
-            trees.append(_tree_unchecked(root, tuple(parents)))
-        all_moves.extend(moves)
-        members.add(boundary[1])
-    assert trees[-1] == current == t_prime
-    assert len(all_moves) <= n * (n - 1)
-    return WalkSequence(tuple(trees), tuple(all_moves))
+        _advance_stage(g, num, parents, kids, members, t_prime, ext, moves)
+    if tuple(parents) != t_prime.parents:
+        raise AssertionError("canonical walk does not end at the target tree")
+    if len(moves) > n * (n - 1):
+        raise AssertionError(f"canonical walk has {len(moves)} moves, over n(n-1) = {n * (n - 1)}")
+    return WalkSequence(start, tuple(moves))
 
 
 def walk(
@@ -268,7 +318,7 @@ def walk(
     """Walk between two spanning trees rooted at ``a`` via the canonical tree.
 
     The result starts exactly at ``t``, ends exactly at ``t_prime``, and
-    contains at most 2n(n-1)+1 trees.
+    has at most 2n(n-1) moves.
     """
     if t.root != a or t_prime.root != a:
         raise ValueError(f"both trees must be rooted at {a} (got {t.root}, {t_prime.root})")
@@ -277,18 +327,14 @@ def walk(
         if problem is not None:
             raise ValueError(f"{name} tree invalid: {problem}")
     if t == t_prime:
-        return WalkSequence((t,), ())
+        return WalkSequence(t, ())
     if not is_biconnected(g):
         raise NotBiconnectedError("walks require a 2-vertex-connected graph")
     mate = min(g.adj[a])
     num = st_numbering(g, a, mate)
-    to_t = walk_from_canonical(g, num, t)
-    to_target = walk_from_canonical(g, num, t_prime)
-    back = to_t.reverse()
-    return WalkSequence(
-        back.trees + to_target.trees[1:],
-        back.moves + to_target.moves,
-    )
+    back = walk_from_canonical(g, num, t).moves
+    forth = walk_from_canonical(g, num, t_prime).moves
+    return WalkSequence(t, tuple(m.reversed() for m in reversed(back)) + forth)
 
 
 @dataclass(frozen=True)
@@ -316,13 +362,6 @@ class WalkReport:
         return "\n".join(lines)
 
 
-def _edge_codes(parents: tuple[int, ...], n: int) -> set[int]:
-    """Undirected tree edges packed as small*n+large, for cheap set algebra."""
-    return {
-        (v * n + p) if v < p else (p * n + v) for v, p in enumerate(parents) if p >= 0
-    }
-
-
 def verify_walk(
     g: Graph,
     a: int,
@@ -333,23 +372,22 @@ def verify_walk(
     """Independently check a walk: tree validity, both adjacency tests per step,
     move consistency, and (when given) the declared endpoints.
 
-    Tree validity is certified incrementally.  The first tree gets a full
-    check; each later tree inherits validity when the step into it rehangs a
-    single childless vertex along a graph edge, which cannot break acyclicity
-    or coverage.  Any irregular step triggers a full re-check of the tree it
-    leads to, so corrupted sequences are still diagnosed tree by tree.  The
-    edge-intersection adjacency test maintains the running edge set across
-    certified steps; against uncertified trees it falls back to the
-    general-purpose checker on freshly built sets.
+    Tree i+1 is tree i with move i applied, and validity is certified from
+    one tree to the next.  The first tree gets a full check.  While the
+    current tree is certified, a move that rehangs a childless vertex along
+    a graph edge provably gives a spanning tree again, and both adjacency
+    tests follow in O(1) from the child count of that vertex.  Any
+    other move is applied anyway, and the tree it leads to gets the full
+    check and the general adjacency test, so a corrupted stream is still
+    diagnosed tree by tree.
     """
     issues: list[str] = []
-    trees: Sequence[RootedSpanningTree] = seq.trees
-    if not trees:
-        return WalkReport(0, len(seq.moves), ("empty sequence",), None, None)
-    moves = seq.moves
-    if len(moves) != len(trees) - 1:
-        issues.append(f"move count {len(moves)} does not match {len(trees)} trees")
-    n = g.n
+    graph_edges = g.edges
+    first = seq.source
+    root = first.root
+    parents = list(first.parents)
+    size = len(parents)
+    kids = _child_counts(parents)
 
     def full_check(idx: int, tree: RootedSpanningTree) -> bool:
         if tree.root != a:
@@ -361,113 +399,69 @@ def verify_walk(
             return False
         return True
 
-    prev = trees[0]
-    certified = full_check(0, prev)
-    prev_codes = _edge_codes(prev.parents, n) if certified else None
-    for idx in range(len(trees) - 1):
-        t_b = trees[idx + 1]
-        pa, pb = prev.parents, t_b.parents
-        same_shape = len(pa) == len(pb) and prev.root == a and t_b.root == a
-        # Locate where the parent maps differ; v stays -1 for identical maps.
-        # The declared move names a candidate position; a slice comparison
-        # proves (never assumes) that it is the only difference.
-        v = -1
-        single = same_shape
-        if same_shape and pa != pb:
-            hint = moves[idx].vertex if idx < len(moves) else -1
-            if (
-                0 <= hint < len(pa)
-                and pa[hint] != pb[hint]
-                and pa[:hint] == pb[:hint]
-                and pa[hint + 1 :] == pb[hint + 1 :]
-            ):
-                v = hint
-            else:
-                for w in range(len(pa)):
-                    if pa[w] != pb[w]:
-                        if v >= 0:
-                            single = False
-                            break
-                        v = w
+    certified = full_check(0, first)
+    for idx, mv in enumerate(seq.moves):
+        v, new = mv.vertex, mv.new_parent
+        if v == root or not (0 <= v < size and 0 <= new < size):
+            issues.append(f"step {idx}: move {v} {mv.old_parent} {new} cannot be applied")
+            continue
+        old = parents[v]
         # Leaf-move adjacency: equal maps, or one rehung vertex childless in both.
-        move_ok = single and (v < 0 or (v not in pa and v not in pb))
-        step_cert = (
-            certified and move_ok and len(pb) == n and (v < 0 or g.has_edge(v, pb[v]))
-        )
-        if step_cert:
-            # Certified trees have exactly the packed edges in prev_codes, so
-            # the intersection size follows from two membership facts instead
-            # of a rebuilt set: the rehang drops code c_old and gains c_new.
-            if v < 0:
-                adjacent = len(prev_codes) == n - 1
-            else:
-                c_old = (v * n + pa[v]) if v < pa[v] else (pa[v] * n + v)
-                c_new = (v * n + pb[v]) if v < pb[v] else (pb[v] * n + v)
-                shared = len(prev_codes) - 1 + (c_new in prev_codes)
-                if shared == n - 1:
-                    adjacent = True
-                elif shared == n - 2:
-                    # One tree edge was swapped out; the shared edges leave the
-                    # walked-away side of that edge as a lone vertex exactly when
-                    # its child endpoint had no children.
-                    u, p = divmod(c_old, n)
-                    x = u if pa[u] == p else p
-                    adjacent = x not in pa
-                else:
-                    adjacent = False
-                prev_codes.discard(c_old)
-                prev_codes.add(c_new)
+        move_ok = new == old or not kids[v]
+        regular = certified and move_ok and ((v, new) if v < new else (new, v)) in graph_edges
+        if not regular:
+            prev = RootedSpanningTree(root, tuple(parents))
+        parents[v] = new
+        kids[old] -= 1
+        kids[new] += 1
+        if regular:
+            # Unless the trees are equal, a childless vertex of a spanning
+            # tree was rehung along a graph edge: the result is a spanning
+            # tree again, and the edges the two share are all but {v, old},
+            # which cut off only v from the root, so the intersection test
+            # holds as well.
+            adjacent = True
         else:
+            tree = RootedSpanningTree(root, tuple(parents))
             try:
-                adjacent = trees_adjacent(prev, t_b, a)
+                adjacent = trees_adjacent(prev, tree, a)
             except ValueError as exc:
                 issues.append(f"step {idx}: {exc}")
                 adjacent = None
-            certified = full_check(idx + 1, t_b)
-            prev_codes = _edge_codes(pb, n) if certified else None
+            certified = full_check(idx + 1, tree)
         if adjacent is False:
             issues.append(f"step {idx}: not adjacent (intersection test)")
         if not move_ok:
             issues.append(f"step {idx}: not adjacent (leaf-move test)")
-        if idx < len(moves) and same_shape:
-            mv = moves[idx]
-            if not 0 <= mv.vertex < len(pa):
-                issues.append(f"step {idx}: move vertex {mv.vertex} out of range")
-            else:
-                if pa[mv.vertex] != mv.old_parent:
-                    issues.append(f"step {idx}: move old parent disagrees with tree")
-                applied = single and (
-                    (v < 0 and mv.new_parent == pa[mv.vertex])
-                    or (v == mv.vertex and mv.new_parent == pb[v])
-                )
-                if not applied:
-                    issues.append(f"step {idx}: applying the move does not give the next tree")
-        prev = t_b
-    source_matches = None if source is None else trees[0] == source
-    target_matches = None if target is None else trees[-1] == target
+        if old != mv.old_parent:
+            issues.append(f"step {idx}: move old parent disagrees with tree")
+    source_matches = None if source is None else first == source
+    target_matches = (
+        None if target is None else target.root == root and target.parents == tuple(parents)
+    )
     if source_matches is False:
         issues.append("endpoint mismatch: first tree differs from declared source")
     if target_matches is False:
         issues.append("endpoint mismatch: last tree differs from declared target")
-    return WalkReport(len(trees), len(seq.moves), tuple(issues), source_matches, target_matches)
+    return WalkReport(len(seq), len(seq.moves), tuple(issues), source_matches, target_matches)
 
 
 def format_walk_moves(seq: WalkSequence) -> str:
     """Stream form of a walk: the initial tree, then one ``v old new`` line per move."""
     from .graph import format_tree
 
-    parts = [format_tree(seq.trees[0])]
+    parts = [format_tree(seq.source)]
     parts.extend(f"{m.vertex} {m.old_parent} {m.new_parent}\n" for m in seq.moves)
     return "".join(parts)
 
 
 def parse_walk_moves(text: str) -> WalkSequence:
-    """Parse the stream form back into a sequence of trees.
+    """Parse the stream form back into a source tree plus moves.
 
-    Moves are applied structurally; semantic problems (bad adjacency, stale
+    Moves are checked structurally; semantic problems (bad adjacency, stale
     old-parent fields) are left for :func:`verify_walk` to report.
     """
-    from .graph import GraphFormatError, RootedSpanningTree as _Tree, _data_lines, _parse_ints
+    from .graph import GraphFormatError, _data_lines, _parse_ints
 
     lines = _data_lines(text)
     if not lines:
@@ -488,7 +482,6 @@ def parse_walk_moves(text: str) -> WalkSequence:
             raise GraphFormatError(f"line {lineno}: duplicate parent entry for vertex {child}")
         seen.add(child)
         parents[child] = parent
-    trees = [_Tree(root, tuple(parents))]
     moves: list[LeafMove] = []
     for lineno, line in lines[n:]:
         v, old, new = _parse_ints(lineno, line, 3)
@@ -497,10 +490,7 @@ def parse_walk_moves(text: str) -> WalkSequence:
         if not (0 <= v < n and 0 <= old < n and 0 <= new < n):
             raise GraphFormatError(f"line {lineno}: vertex out of range in {line!r}")
         try:
-            mv = LeafMove(v, old, new)
+            moves.append(LeafMove(v, old, new))
         except ValueError as exc:
             raise GraphFormatError(f"line {lineno}: {exc}") from None
-        parents[v] = new
-        moves.append(mv)
-        trees.append(_Tree(root, tuple(parents)))
-    return WalkSequence(tuple(trees), tuple(moves))
+    return WalkSequence(RootedSpanningTree(root, tuple(parents)), tuple(moves))

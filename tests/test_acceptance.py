@@ -8,6 +8,7 @@ pass condition.
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
 import random
 import time
@@ -19,6 +20,7 @@ from treewalk import (
     count_spanning_trees_kirchhoff,
     enumerate_spanning_trees,
     experiment_table,
+    format_walk_moves,
     lower_bound_value,
     make_gk,
     partition2,
@@ -51,25 +53,30 @@ def _table25():
     return experiment_table(25, with_oracle=False)
 
 
-def test_criterion_1_walk_validity_and_length_bound():
+def _criterion_1_corpus():
+    """Seed 1: 500 random biconnected graphs with 4..64 vertices, two tree pairs each."""
     rng = random.Random(1)
-    start = time.perf_counter()
-    walks = 0
-    problems: list[str] = []
     for _ in range(500):
         n = rng.randint(4, 64)
         g = random_biconnected_graph(n, rng)
-        tree_cap = 2 * n * (n - 1) + 1
         for _ in range(2):
-            t1 = random_spanning_tree(g, 0, rng)
-            t2 = random_spanning_tree(g, 0, rng)
-            seq = walk(g, 0, t1, t2)
-            walks += 1
-            if len(seq.trees) > tree_cap:
-                problems.append(f"n={n}: {len(seq.trees)} trees exceeds {tree_cap}")
-            report = verify_walk(g, 0, seq, source=t1, target=t2)
-            if not report.ok:
-                problems.append(f"n={n}: {report.issues[0]}")
+            yield g, random_spanning_tree(g, 0, rng), random_spanning_tree(g, 0, rng)
+
+
+def test_criterion_1_walk_validity_and_length_bound():
+    start = time.perf_counter()
+    walks = 0
+    problems: list[str] = []
+    for g, t1, t2 in _criterion_1_corpus():
+        n = g.n
+        tree_cap = 2 * n * (n - 1) + 1
+        seq = walk(g, 0, t1, t2)
+        walks += 1
+        if len(seq.trees) > tree_cap:
+            problems.append(f"n={n}: {len(seq.trees)} trees exceeds {tree_cap}")
+        report = verify_walk(g, 0, seq, source=t1, target=t2)
+        if not report.ok:
+            problems.append(f"n={n}: {report.issues[0]}")
     elapsed = time.perf_counter() - start
     if elapsed >= 30.0:
         problems.append(f"took {elapsed:.1f}s, budget 30s")
@@ -77,6 +84,17 @@ def test_criterion_1_walk_validity_and_length_bound():
     _report(1, ok, f"{walks} verified walks on 500 graphs, {elapsed:.1f}s"
             if ok else "; ".join(problems[:3]))
     assert ok, problems[:5]
+
+
+def test_criterion_1_move_streams_are_pinned():
+    # sha256 of every criterion-1 walk's move stream, concatenated, as the
+    # construction that stored every intermediate tree emitted them.
+    digest = hashlib.sha256()
+    for g, t1, t2 in _criterion_1_corpus():
+        digest.update(format_walk_moves(walk(g, 0, t1, t2)).encode())
+    assert digest.hexdigest() == (
+        "b394e659c41b330f9345211ef91264878b0f6b76d7375c46ccf7490777ecfab0"
+    )
 
 
 def test_criterion_2_leaf_claim_never_fires():

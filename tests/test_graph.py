@@ -53,7 +53,6 @@ def test_tree_shape_validation():
     assert t.parent_of(2) == 1
     assert t.to_parent_map() == {1: 0, 2: 1}
     assert t.edges() == frozenset({(0, 1), (1, 2)})
-    assert t.child_counts() == [1, 1, 0]
     assert t.is_leaf(2) and not t.is_leaf(1)
     with pytest.raises(ValueError):
         RootedSpanningTree(0, (0, 0, 1))  # root parent must be -1

@@ -23,7 +23,6 @@ from treewalk import (
     tree_distance,
     tree_from_edges,
     tree_graph_diameter,
-    tree_key,
     trees_adjacent,
     verify_walk,
     walk,
@@ -36,7 +35,7 @@ def test_enumeration_matches_known_counts():
     for name, g in graphs.ALL_GRAPHS.items():
         trees = enumerate_spanning_trees(g, root=0)
         assert len(trees) == graphs.SPANNING_TREE_COUNTS[name], name
-        keys = {tree_key(t) for t in trees}
+        keys = {t.parents for t in trees}
         assert len(keys) == len(trees), f"{name}: duplicate trees"
         for t in trees:
             assert t.root == 0
@@ -179,7 +178,8 @@ def test_oracle_never_beats_the_walk():
 def test_removal_times_basics():
     t1 = tree_from_edges(3, [(0, 1), (1, 2)], root=0)
     t2 = tree_from_edges(3, [(0, 1), (0, 2)], root=0)
-    seq = WalkSequence((t1, t2), (LeafMove(2, 1, 0),))
+    seq = WalkSequence(t1, (LeafMove(2, 1, 0),))
+    assert seq.target == t2
     ana = removal_times(seq, [(1, 2), (0, 1)])
     assert ana.length == 2
     assert ana.time_of(2, 1) == 1   # normalized lookup works both ways
@@ -191,20 +191,15 @@ def test_removal_times_basics():
 def test_removal_times_first_occurrence_wins():
     # edge (1, 2) leaves at step 1, returns, then leaves again at step 3
     a = tree_from_edges(3, [(0, 1), (1, 2)], root=0)
-    b = tree_from_edges(3, [(0, 1), (0, 2)], root=0)
-    seq = WalkSequence(
-        (a, b, a, b),
-        (LeafMove(2, 1, 0), LeafMove(2, 0, 1), LeafMove(2, 1, 0)),
-    )
+    seq = WalkSequence(a, (LeafMove(2, 1, 0), LeafMove(2, 0, 1), LeafMove(2, 1, 0)))
     assert removal_times(seq, [(1, 2)]).time_of(1, 2) == 1
 
 
-def test_removal_times_rejects_simultaneous_departures():
-    chain = tree_from_edges(4, [(0, 1), (1, 2), (2, 3)], root=0)
-    star = tree_from_edges(4, [(0, 1), (0, 2), (0, 3)], root=0)
-    fake = WalkSequence((chain, star), (LeafMove(3, 2, 0),))
-    with pytest.raises(ValueError, match="same step"):
-        removal_times(fake, [(1, 2), (2, 3)])
+def test_removal_times_follow_the_trees_not_the_old_parent_fields():
+    # the move names a stale old parent: the edge that really leaves is (0, 2)
+    star = tree_from_edges(3, [(0, 1), (0, 2)], root=0)
+    seq = WalkSequence(star, (LeafMove(2, 1, 1),))
+    assert removal_times(seq, [(0, 2), (1, 2)]).times == (1, None)
 
 
 def test_g2_shortest_walk_removal_chain():

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import treewalk
 from treewalk import (
     Graph,
     LeafClaimError,
@@ -28,7 +33,7 @@ from treewalk import (
     walk,
     walk_from_canonical,
 )
-from treewalk.graph import GraphFormatError, _tree_unchecked
+from treewalk.graph import GraphFormatError
 
 import graphs
 
@@ -148,6 +153,32 @@ def test_gap_sequence_leaf_claim_fires_on_corrupt_state():
     assert isinstance(info.value, AssertionError)
 
 
+def test_gap_sequence_milestone_check_survives_optimized_mode():
+    # ``python -O`` strips assert statements; the stage's certifying check
+    # must still raise there.  The corrupt stage tree (a star, which C4 does
+    # not contain) passes every leaf claim but misses the milestone for {0, 1}.
+    code = (
+        "import sys\n"
+        "from treewalk import Graph, RootedSpanningTree, STNumbering, gap_sequence\n"
+        "print(sys.flags.optimize)\n"
+        "g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])\n"
+        "corrupt = RootedSpanningTree(0, (-1, 0, 0, 0))\n"
+        "target = RootedSpanningTree(0, (-1, 0, 1, 2))\n"
+        "try:\n"
+        "    gap_sequence(corrupt, {0}, target, STNumbering((0, 1, 2, 3)), g)\n"
+        "except AssertionError as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    src = str(Path(treewalk.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path},
+    ).stdout.splitlines()
+    assert out[0] == "1"
+    assert out[1].startswith("raised:") and "milestone" in out[1]
+
+
 def test_walk_from_canonical_triangle():
     seq = walk_from_canonical(graphs.TRIANGLE, TRI_NUM, TRI_TARGET)
     assert [t.parents for t in seq.trees] == [(-1, 2, 0), (-1, 0, 0), (-1, 0, 1)]
@@ -249,52 +280,51 @@ def test_walk_passes_through_canonical_tree():
 def test_walk_sequence_reverse():
     seq = walk_from_canonical(graphs.TRIANGLE, TRI_NUM, TRI_TARGET)
     rev = seq.reverse()
-    assert rev.trees == tuple(reversed(seq.trees))
+    assert tuple(rev.trees) == tuple(reversed(seq.trees))
     assert rev.moves[0] == LeafMove(2, 1, 0)
     assert rev.reverse() == seq
     assert verify_walk(graphs.TRIANGLE, 0, rev).ok
 
 
-def test_verify_walk_empty_and_mismatched_counts():
-    report = verify_walk(graphs.TRIANGLE, 0, WalkSequence((), ()))
-    assert not report.ok and "empty" in report.issues[0]
-    t = tree_from_edges(3, [(0, 1), (1, 2)], root=0)
-    report = verify_walk(graphs.TRIANGLE, 0, WalkSequence((t,), (LeafMove(2, 1, 0),)))
-    assert not report.ok
-    assert any("move count" in issue for issue in report.issues)
-
-
-def test_verify_walk_flags_double_change():
-    seq = walk_from_canonical(graphs.C5, STNumbering((0, 1, 2, 3, 4)),
-                              tree_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)], root=0))
-    assert len(seq.trees) >= 3
-    broken = list(seq.trees)
-    middle = len(broken) // 2
-    parents = list(broken[middle].parents)
-    v, w = 1, 2
-    parents[v], parents[w] = 3 if parents[v] != 3 and v != 3 else 4, 4 if parents[w] != 4 else 3
-    broken[middle] = _tree_unchecked(0, tuple(parents))
-    report = verify_walk(graphs.C5, 0, WalkSequence(tuple(broken), seq.moves))
-    assert not report.ok
-    touched = {middle - 1, middle}
-    assert any(f"step {i}:" in issue for issue in report.issues for i in touched)
+def test_walk_trees_are_derived_on_demand():
+    seq = walk_from_canonical(graphs.TRIANGLE, TRI_NUM, TRI_TARGET)
+    assert len(seq) == len(seq.trees) == 3
+    assert seq.trees[-1] == seq.target == TRI_TARGET
+    assert seq.trees[1].parents == (-1, 0, 0)
+    assert seq.trees[1:] == (seq.trees[1], TRI_TARGET)
+    with pytest.raises(IndexError):
+        seq.trees[3]
+    # Length never replays the moves, so it works even on a stream whose
+    # moves cannot be applied; building the trees is what fails.
+    t = RootedSpanningTree(0, (-1, 0, 0))
+    bad = WalkSequence(t, (LeafMove(0, -1, 1),))
+    assert len(bad.trees) == 2
+    with pytest.raises(ValueError):
+        list(bad.trees)
+    report = verify_walk(graphs.TRIANGLE, 0, bad)
+    assert report.tree_count == 2
+    assert report.issues == ("step 0: move 0 -1 1 cannot be applied",)
 
 
 def test_verify_walk_flags_non_leaf_single_change():
-    ta = RootedSpanningTree(0, (-1, 0, 1, 0))
-    tb = RootedSpanningTree(0, (-1, 3, 1, 0))
-    report = verify_walk(graphs.K4, 0, WalkSequence((ta, tb), (LeafMove(1, 0, 3),)))
+    # vertex 1 still has child 2 and is rehung onto it: a 1-2 cycle
+    path = RootedSpanningTree(0, (-1, 0, 1, 2))
+    report = verify_walk(graphs.K4, 0, WalkSequence(path, (LeafMove(1, 0, 2),)))
     assert not report.ok
+    assert any(issue.startswith("tree 1:") for issue in report.issues)
     assert any("intersection test" in issue for issue in report.issues)
     assert any("leaf-move test" in issue for issue in report.issues)
 
 
 def test_verify_walk_flags_invalid_tree():
-    ta = tree_from_edges(4, [(0, 1), (1, 2), (2, 3)], root=0)
-    cyc = _tree_unchecked(0, (-1, 2, 1, 2))
-    report = verify_walk(graphs.C4, 0, WalkSequence((ta, cyc), (LeafMove(1, 0, 2),)))
+    # leaf 3 rehung onto 1, which is not its neighbor in C4
+    path = tree_from_edges(4, [(0, 1), (1, 2), (2, 3)], root=0)
+    report = verify_walk(graphs.C4, 0, WalkSequence(path, (LeafMove(3, 2, 1),)))
     assert not report.ok
     assert any("tree 1" in issue for issue in report.issues)
+    # the tree after the bad step is re-checked in full, and the walk back is clean
+    back = WalkSequence(path, (LeafMove(3, 2, 1), LeafMove(3, 1, 2)))
+    assert verify_walk(graphs.C4, 0, back).issues == report.issues
 
 
 def test_verify_walk_flags_endpoint_mismatch():
@@ -310,10 +340,8 @@ def test_verify_walk_flags_endpoint_mismatch():
 def test_verify_walk_flags_move_disagreement():
     seq = walk_from_canonical(graphs.TRIANGLE, TRI_NUM, TRI_TARGET)
     tampered = (LeafMove(1, 2, 0), LeafMove(2, 1, 0))
-    report = verify_walk(graphs.TRIANGLE, 0, WalkSequence(seq.trees, tampered))
-    assert not report.ok
-    assert any("move old parent" in issue or "applying the move" in issue
-               for issue in report.issues)
+    report = verify_walk(graphs.TRIANGLE, 0, WalkSequence(seq.source, tampered))
+    assert report.issues == ("step 1: move old parent disagrees with tree",)
 
 
 def test_verify_walk_report_summary_shape():
