@@ -50,10 +50,7 @@ from .walk import (
     WalkSequence,
     canonical_tree,
     format_walk_moves,
-    gap_sequence,
-    milestone_tree,
     parse_walk_moves,
-    select_boundary_edge,
     verify_walk,
     walk,
     walk_from_canonical,
@@ -85,12 +82,10 @@ __all__ = [
     "format_graph",
     "format_tree",
     "format_walk_moves",
-    "gap_sequence",
     "is_biconnected",
     "is_spanning_tree",
     "lower_bound_value",
     "make_gk",
-    "milestone_tree",
     "parse_graph",
     "parse_tree",
     "parse_walk_moves",
@@ -99,7 +94,6 @@ __all__ = [
     "random_biconnected_graph",
     "random_spanning_tree",
     "removal_times",
-    "select_boundary_edge",
     "shortest_tree_path",
     "spanning_tree_violation",
     "st_numbering",

@@ -226,7 +226,8 @@ def st_numbering(g: Graph, s: int, t: int) -> STNumbering:
     for v in range(n):
         order[number[v] - 1] = v
     result = STNumbering(tuple(order))
-    assert validate_st_numbering(g, result, s, t)
+    if not validate_st_numbering(g, result, s, t):
+        raise AssertionError(f"st_numbering built an invalid order for ({s}, {t})")
     return result
 
 

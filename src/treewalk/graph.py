@@ -9,7 +9,7 @@ live here: the edge-intersection test and the direct parent-map test.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 
 class GraphFormatError(ValueError):
@@ -117,17 +117,31 @@ class RootedSpanningTree:
         return all(p != v for w, p in enumerate(self.parents) if w != self.root)
 
 
-@dataclass(frozen=True)
-class LeafMove:
-    """Detach ``vertex`` from ``old_parent`` and reattach it to ``new_parent``."""
-
+class _LeafMoveFields(NamedTuple):
     vertex: int
     old_parent: int
     new_parent: int
 
-    def __post_init__(self) -> None:
-        if self.new_parent == self.vertex:
-            raise ValueError(f"vertex {self.vertex} cannot become its own parent")
+
+class LeafMove(_LeafMoveFields):
+    """Detach ``vertex`` from ``old_parent`` and reattach it to ``new_parent``.
+
+    An immutable named tuple, so it compares equal to the plain tuple
+    ``(vertex, old_parent, new_parent)``.  Code that already knows the two
+    ends differ may build one unchecked with ``tuple.__new__(LeafMove, ...)``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, vertex: int, old_parent: int, new_parent: int) -> LeafMove:
+        if new_parent == vertex:
+            raise ValueError(f"vertex {vertex} cannot become its own parent")
+        return tuple.__new__(cls, (vertex, old_parent, new_parent))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> LeafMove:
+        # The named-tuple default skips __new__; _replace goes through here too.
+        return cls(*iterable)
 
     def reversed(self) -> LeafMove:
         return LeafMove(self.vertex, self.new_parent, self.old_parent)

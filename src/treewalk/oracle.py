@@ -225,7 +225,8 @@ def shortest_tree_path(
         raise TreeGraphDisconnectedError(
             f"no leaf-move path found after exploring {len(dist)} trees"
         )
-    assert pred is not None
+    if pred is None:
+        raise AssertionError("BFS kept no predecessors for the path")
     keys = [goal]
     while keys[-1] != start:
         keys.append(pred[keys[-1]])
@@ -233,7 +234,8 @@ def shortest_tree_path(
     moves = []
     for before, after in zip(keys, keys[1:]):
         changed = [v for v in range(g.n) if before[v] != after[v]]
-        assert len(changed) == 1
+        if len(changed) != 1:
+            raise AssertionError(f"BFS path step changes {len(changed)} parent entries, not 1")
         v = changed[0]
         moves.append(LeafMove(v, before[v], after[v]))
     return WalkSequence(t, tuple(moves))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Iterator
 
 from .connectivity import NotBiconnectedError, STNumbering, is_biconnected, st_numbering
@@ -108,14 +109,31 @@ class WalkTrees(Sequence):
         return iter(self._walk.reverse().trees)
 
 
+# Builds a LeafMove without the constructor's check, for moves whose new
+# parent cannot be the moved vertex: a graph neighbor of it, or its parent in
+# a valid parent array.
+_unchecked = tuple.__new__
+
+
 def _extreme_neighbors(g: Graph, num: STNumbering) -> tuple[list[int], list[int]]:
-    """Per vertex, the neighbor with the lowest and the highest position."""
+    """Per vertex, the neighbor with the lowest and the highest position.
+
+    Raises ValueError unless every vertex but the first has a neighbor below
+    it and every vertex but the last has one above it, as in an st-numbering:
+    the stages drop vertices down and restore them up along these neighbors.
+    """
+    pos = num.positions
+    first, last = num.order[0], num.order[-1]
     lo = [0] * g.n
     hi = [0] * g.n
     for v in range(g.n):
         nbrs = g.adj[v]
-        lo[v] = min(nbrs, key=num.position)
-        hi[v] = max(nbrs, key=num.position)
+        lo[v] = min(nbrs, key=pos.__getitem__)
+        hi[v] = max(nbrs, key=pos.__getitem__)
+        if v != first and pos[lo[v]] > pos[v]:
+            raise ValueError(f"not an st-numbering: vertex {v} has no lower-positioned neighbor")
+        if v != last and pos[hi[v]] < pos[v]:
+            raise ValueError(f"not an st-numbering: vertex {v} has no higher-positioned neighbor")
     return lo, hi
 
 
@@ -215,40 +233,28 @@ def _child_counts(parents: Sequence[int]) -> list[int]:
 
 
 def _advance_stage(
-    g: Graph,
-    num: STNumbering,
     parents: list[int],
     kids: list[int],
-    inside: set[int],
-    t_prime: RootedSpanningTree,
+    dropped: list[int],
+    newcomer: int,
+    anchor: int,
     ext: tuple[list[int], list[int]],
     moves: list[LeafMove],
 ) -> None:
-    """One stage in place on ``parents``/``kids``: absorb the next newcomer into ``inside``.
+    """One stage in place on ``parents``/``kids``: absorb ``newcomer`` below ``anchor``.
 
-    In ascending positions, every outside vertex before the newcomer drops to
-    its lowest-positioned neighbor, and then the newcomer attaches to its
-    anchor.  In descending positions, the dropped vertices return to their
-    highest-positioned neighbors.  Moves whose new parent equals the current
-    parent are elided from ``moves``.  The stage must end exactly at the
-    milestone tree for the grown set.
+    ``dropped`` holds the outside vertices positioned before the newcomer, in
+    ascending positions.  Each drops to its lowest-positioned neighbor, then
+    the newcomer attaches to its anchor, then in descending positions the
+    dropped vertices return to their highest-positioned neighbors.  The
+    last-positioned vertex is never dropped: it follows every other outside
+    vertex, so it can only be the newcomer.  Moves whose new parent equals the
+    current parent are elided from ``moves``.
     """
-    anchor, newcomer = select_boundary_edge(t_prime, inside, num)
-    last = num.order[-1]
     lo, hi = ext
-    pos = num.positions
-    dropped: list[int] = []
-    for v in num.order:  # ascending positions
-        if v in inside:
-            continue
-        if v == newcomer:
-            break
-        assert v != last, "only the newcomer may be the last-positioned vertex here"
-        assert pos[lo[v]] < pos[v]
-        dropped.append(v)
     schedule = [(v, lo[v]) for v in dropped]
     schedule.append((newcomer, anchor))
-    schedule.extend((v, hi[v]) for v in reversed(dropped))
+    schedule.extend([(v, hi[v]) for v in reversed(dropped)])
     for v, new_parent in schedule:
         if kids[v]:
             raise LeafClaimError(v, tuple(parents))
@@ -257,10 +263,7 @@ def _advance_stage(
             parents[v] = new_parent
             kids[old_parent] -= 1
             kids[new_parent] += 1
-            moves.append(LeafMove(v, old_parent, new_parent))
-    inside.add(newcomer)
-    if parents != _milestone_parents(g, num, inside, t_prime.parents, hi):
-        raise AssertionError(f"stage absorbing {newcomer} missed its milestone tree")
+            moves.append(_unchecked(LeafMove, (v, old_parent, new_parent)))
 
 
 def gap_sequence(
@@ -272,15 +275,23 @@ def gap_sequence(
 ) -> tuple[list[LeafMove], RootedSpanningTree]:
     """Advance one stage: from the tree for ``members`` to the tree for members + newcomer.
 
-    The newcomer is the one :func:`select_boundary_edge` picks; see
-    :func:`_advance_stage` for the moves.
+    The per-stage reference for :func:`walk_from_canonical`: the newcomer is
+    the one :func:`select_boundary_edge` picks, the dropped vertices come
+    from a scan of the numbering, and the result is checked against a fresh
+    :func:`milestone_tree` parent array.  See :func:`_advance_stage` for the
+    moves.
     """
+    anchor, newcomer = select_boundary_edge(t_prime, members, num)
+    inside = set(members)
+    pos = num.positions
+    dropped = [v for v in num.order if v not in inside and pos[v] < pos[newcomer]]
+    ext = _extreme_neighbors(g, num)
     parents = list(t_k.parents)
     moves: list[LeafMove] = []
-    _advance_stage(
-        g, num, parents, _child_counts(parents), set(members), t_prime,
-        _extreme_neighbors(g, num), moves,
-    )
+    _advance_stage(parents, _child_counts(parents), dropped, newcomer, anchor, ext, moves)
+    inside.add(newcomer)
+    if parents != _milestone_parents(g, num, inside, t_prime.parents, ext[1]):
+        raise AssertionError(f"stage absorbing {newcomer} missed its milestone tree")
     return moves, RootedSpanningTree(t_k.root, tuple(parents))
 
 
@@ -289,7 +300,16 @@ def walk_from_canonical(
 ) -> WalkSequence:
     """Walk from the canonical tree for ``num`` to ``t_prime`` in at most n(n-1) moves.
 
-    All n-1 stages advance one parent array in place.
+    All n-1 stages advance one parent array in place, and each costs
+    O(its moves + log n).  The absorbed set stays connected in ``t_prime``
+    and contains the root, so the target-tree edges leaving it are exactly
+    those to the target children of absorbed vertices; a heap of those
+    children keyed by descending position yields the newcomer that
+    :func:`select_boundary_edge` picks.  The vertices not yet absorbed are
+    kept in ascending positions, so the dropped vertices of a stage are the
+    ones before its newcomer.  Each stage ends with an exact comparison
+    against the milestone parent array, which differs from the previous
+    milestone only at the newcomer.
     """
     root = num.order[0]
     if t_prime.root != root:
@@ -299,13 +319,33 @@ def walk_from_canonical(
         return WalkSequence(start, ())
     n = g.n
     ext = _extreme_neighbors(g, num)
-    members = {root}
+    pos = num.positions
+    target = t_prime.parents
+    children: list[list[int]] = [[] for _ in range(n)]
+    for v in range(n):
+        if v != root:
+            children[target[v]].append(v)
     parents = list(start.parents)
+    milestone = list(parents)
     kids = _child_counts(parents)
+    outside = list(num.order[1:])
+    boundary = [(-pos[c], c) for c in children[root]]
+    heapify(boundary)
     moves: list[LeafMove] = []
-    for _ in range(n - 1):
-        _advance_stage(g, num, parents, kids, members, t_prime, ext, moves)
-    if tuple(parents) != t_prime.parents:
+    while boundary:
+        newcomer = heappop(boundary)[1]
+        anchor = target[newcomer]
+        i = outside.index(newcomer)
+        _advance_stage(parents, kids, outside[:i], newcomer, anchor, ext, moves)
+        del outside[i]
+        milestone[newcomer] = anchor
+        if parents != milestone:
+            raise AssertionError(f"stage absorbing {newcomer} missed its milestone tree")
+        for c in children[newcomer]:
+            heappush(boundary, (-pos[c], c))
+    if outside:
+        raise ValueError(f"target tree does not reach vertex {outside[0]} from the root")
+    if tuple(parents) != target:
         raise AssertionError("canonical walk does not end at the target tree")
     if len(moves) > n * (n - 1):
         raise AssertionError(f"canonical walk has {len(moves)} moves, over n(n-1) = {n * (n - 1)}")
@@ -333,8 +373,14 @@ def walk(
     mate = min(g.adj[a])
     num = st_numbering(g, a, mate)
     back = walk_from_canonical(g, num, t).moves
+    undo = tuple([_unchecked(LeafMove, (v, new, old)) for v, old, new in reversed(back)])
+    del back  # free the forward copy of the back half before the second walk
     forth = walk_from_canonical(g, num, t_prime).moves
-    return WalkSequence(t, tuple(m.reversed() for m in reversed(back)) + forth)
+    return WalkSequence(t, undo + forth)
+
+
+# How many issues :meth:`WalkReport.summary` prints before it only counts them.
+_SUMMARY_ISSUES = 20
 
 
 @dataclass(frozen=True)
@@ -352,12 +398,15 @@ class WalkReport:
         return not self.issues
 
     def summary(self) -> str:
+        """Counts, endpoint checks, the first 20 issues and the verdict, one per line."""
         lines = [f"trees: {self.tree_count}", f"moves: {self.move_count}"]
         if self.source_matches is not None:
             lines.append(f"source endpoint: {'ok' if self.source_matches else 'MISMATCH'}")
         if self.target_matches is not None:
             lines.append(f"target endpoint: {'ok' if self.target_matches else 'MISMATCH'}")
-        lines.extend(self.issues)
+        lines.extend(self.issues[:_SUMMARY_ISSUES])
+        if len(self.issues) > _SUMMARY_ISSUES:
+            lines.append(f"... and {len(self.issues) - _SUMMARY_ISSUES} more issues")
         lines.append("result: PASS" if self.ok else "result: FAIL")
         return "\n".join(lines)
 
@@ -382,7 +431,7 @@ def verify_walk(
     diagnosed tree by tree.
     """
     issues: list[str] = []
-    graph_edges = g.edges
+    neighbors = [set(nbrs) for nbrs in g.adj]
     first = seq.source
     root = first.root
     parents = list(first.parents)
@@ -408,7 +457,7 @@ def verify_walk(
         old = parents[v]
         # Leaf-move adjacency: equal maps, or one rehung vertex childless in both.
         move_ok = new == old or not kids[v]
-        regular = certified and move_ok and ((v, new) if v < new else (new, v)) in graph_edges
+        regular = certified and move_ok and new in neighbors[v]
         if not regular:
             prev = RootedSpanningTree(root, tuple(parents))
         parents[v] = new

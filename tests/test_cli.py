@@ -76,6 +76,19 @@ def test_verify_flags_tampered_walk(tmp_path, capsys):
     assert "result: FAIL" in capsys.readouterr().out
 
 
+def test_verify_caps_printed_issues(tmp_path, capsys):
+    # 50 moves of leaf 2 that each name a stale old parent: 50 issues.
+    g = _write(tmp_path, "g.txt", TRI_TEXT)
+    w = _write(tmp_path, "w.txt", format_tree(STAR) + "2 1 0\n" * 50)
+    assert main(["verify", "--graph", g, w]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    issues = [line for line in lines if line.startswith("step ")]
+    assert issues == [f"step {i}: move old parent disagrees with tree" for i in range(20)]
+    assert lines[-2:] == ["... and 30 more issues", "result: FAIL"]
+    report = verify_walk(graphs.TRIANGLE, 0, parse_walk_moves((tmp_path / "w.txt").read_text()))
+    assert len(report.issues) == 50
+
+
 def test_gen_gk_round_trip(tmp_path, capsys):
     out_dir = tmp_path / "inst"
     assert main(["gen-gk", "--k", "2", "--out-dir", str(out_dir)]) == 0

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import treewalk.connectivity
 from treewalk import (
     Graph,
     NotBiconnectedError,
@@ -154,3 +155,9 @@ def test_positions_table_matches_order():
     assert num.position(3) == 3
     with pytest.raises(ValueError):
         STNumbering((0, 0, 1))
+
+
+def test_st_numbering_result_is_checked(monkeypatch):
+    monkeypatch.setattr(treewalk.connectivity, "validate_st_numbering", lambda *args: False)
+    with pytest.raises(AssertionError, match="invalid order"):
+        st_numbering(graphs.C4, 0, 1)

@@ -103,8 +103,20 @@ def test_leaf_move_basics():
     mv = LeafMove(2, 0, 1)
     assert mv.reversed() == LeafMove(2, 1, 0)
     assert mv.reversed().reversed() == mv
+    assert (mv.vertex, mv.old_parent, mv.new_parent) == (2, 0, 1)
+    assert hash(mv) == hash(LeafMove(2, 0, 1)) == hash((2, 0, 1))
+    assert len({mv, LeafMove(2, 0, 1), mv.reversed()}) == 2
+    # A named tuple: equal to the plain tuple of its fields.
+    assert mv == (2, 0, 1)
     with pytest.raises(ValueError):
         LeafMove(2, 0, 2)
+    with pytest.raises(ValueError):
+        LeafMove(vertex=2, old_parent=0, new_parent=2)
+    with pytest.raises(ValueError):
+        mv._replace(new_parent=2)
+    with pytest.raises(AttributeError):
+        mv.new_parent = 3
+    assert mv == LeafMove(2, 0, 1)
 
 
 def test_apply_leaf_move_valid():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import treewalk.oracle
 from treewalk import (
     CapExceededError,
     Graph,
@@ -211,3 +212,13 @@ def test_g2_shortest_walk_removal_chain():
     assert all(t is not None for t in values)
     assert values == sorted(values, reverse=True)
     assert len(set(values)) == len(values)
+
+
+def test_shortest_tree_path_checks_each_step(monkeypatch):
+    # A predecessor map whose single step changes two parent entries.
+    star = RootedSpanningTree(0, (-1, 0, 0, 0))
+    path = RootedSpanningTree(0, (-1, 0, 1, 2))
+    corrupt = ({star.parents: 0, path.parents: 1}, {path.parents: star.parents})
+    monkeypatch.setattr(treewalk.oracle, "_bfs", lambda *args, **kwargs: corrupt)
+    with pytest.raises(AssertionError, match="changes 2 parent entries"):
+        shortest_tree_path(graphs.K4, 0, star, path)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import os
 import random
 import subprocess
@@ -19,12 +20,9 @@ from treewalk import (
     WalkSequence,
     canonical_tree,
     format_walk_moves,
-    gap_sequence,
-    milestone_tree,
     parse_walk_moves,
     random_biconnected_graph,
     random_spanning_tree,
-    select_boundary_edge,
     st_numbering,
     tree_from_edges,
     trees_adjacent,
@@ -34,6 +32,7 @@ from treewalk import (
     walk_from_canonical,
 )
 from treewalk.graph import GraphFormatError
+from treewalk.walk import gap_sequence, milestone_tree, select_boundary_edge
 
 import graphs
 
@@ -153,13 +152,27 @@ def test_gap_sequence_leaf_claim_fires_on_corrupt_state():
     assert isinstance(info.value, AssertionError)
 
 
+def test_walk_from_canonical_rejects_a_non_st_numbering():
+    # In C4 numbered 0, 2, 1, 3, vertex 2 has no lower-positioned neighbor
+    # and vertex 1 no higher-positioned one.
+    target = tree_from_edges(4, [(0, 1), (1, 2), (2, 3)], root=0)
+    bad = STNumbering((0, 2, 1, 3))
+    with pytest.raises(ValueError, match="not an st-numbering"):
+        walk_from_canonical(graphs.C4, bad, target)
+    start = canonical_tree(graphs.C4, STNumbering((0, 1, 2, 3)))
+    with pytest.raises(ValueError, match="not an st-numbering"):
+        gap_sequence(start, {0}, target, bad, graphs.C4)
+
+
 def test_gap_sequence_milestone_check_survives_optimized_mode():
-    # ``python -O`` strips assert statements; the stage's certifying check
+    # ``python -O`` strips assert statements; the stage's certifying checks
     # must still raise there.  The corrupt stage tree (a star, which C4 does
-    # not contain) passes every leaf claim but misses the milestone for {0, 1}.
+    # not contain) passes every leaf claim but misses the milestone for {0, 1},
+    # and a numbering that is not an st-numbering is rejected up front.
     code = (
         "import sys\n"
-        "from treewalk import Graph, RootedSpanningTree, STNumbering, gap_sequence\n"
+        "from treewalk import Graph, RootedSpanningTree, STNumbering, walk_from_canonical\n"
+        "from treewalk.walk import gap_sequence\n"
         "print(sys.flags.optimize)\n"
         "g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])\n"
         "corrupt = RootedSpanningTree(0, (-1, 0, 0, 0))\n"
@@ -167,6 +180,10 @@ def test_gap_sequence_milestone_check_survives_optimized_mode():
         "try:\n"
         "    gap_sequence(corrupt, {0}, target, STNumbering((0, 1, 2, 3)), g)\n"
         "except AssertionError as exc:\n"
+        "    print('raised:', exc)\n"
+        "try:\n"
+        "    walk_from_canonical(g, STNumbering((0, 2, 1, 3)), target)\n"
+        "except ValueError as exc:\n"
         "    print('raised:', exc)\n"
     )
     src = str(Path(treewalk.__file__).resolve().parents[1])
@@ -177,6 +194,15 @@ def test_gap_sequence_milestone_check_survives_optimized_mode():
     ).stdout.splitlines()
     assert out[0] == "1"
     assert out[1].startswith("raised:") and "milestone" in out[1]
+    assert out[2].startswith("raised:") and "not an st-numbering" in out[2]
+
+
+def test_no_assert_statements_in_the_package():
+    # Checks that certify output must hold under ``python -O`` too.
+    for module in Path(treewalk.__file__).parent.glob("*.py"):
+        tree = ast.parse(module.read_text())
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{module.name} uses assert at lines {lines}"
 
 
 def test_walk_from_canonical_triangle():
@@ -208,6 +234,9 @@ def test_walk_from_canonical_root_mismatch():
     target = tree_from_edges(3, [(0, 1), (1, 2)], root=1)
     with pytest.raises(ValueError, match="rooted at"):
         walk_from_canonical(graphs.TRIANGLE, TRI_NUM, target)
+    cycle = RootedSpanningTree(0, (-1, 0, 3, 2))  # 2 and 3 hang from each other
+    with pytest.raises(ValueError, match="does not reach vertex 2"):
+        walk_from_canonical(graphs.C4, STNumbering((0, 1, 2, 3)), cycle)
 
 
 def test_walk_endpoints_and_bound():

@@ -11,14 +11,19 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from treewalk import (  # noqa: E402
     LeafMove,
+    RootedSpanningTree,
     WalkSequence,
+    canonical_tree,
     format_walk_moves,
     parse_walk_moves,
     random_biconnected_graph,
     random_spanning_tree,
+    st_numbering,
     verify_walk,
     walk,
+    walk_from_canonical,
 )
+from treewalk.walk import gap_sequence, select_boundary_edge  # noqa: E402
 
 # Derandomized so the suite sees the same examples on every run.
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -78,3 +83,48 @@ def test_verify_catches_a_dropped_move(inst, data):
     assert moves[i].new_parent != moves[i].old_parent
     del moves[i]
     assert _caught(g, a, t1, t2, moves)
+
+
+def _bfs_tree(g, a):
+    """Breadth-first spanning tree: every neighbor of ``a`` is a child of the root."""
+    parents = [-1] * g.n
+    seen = {a}
+    queue = [a]
+    for u in queue:
+        for w in g.adj[u]:
+            if w not in seen:
+                seen.add(w)
+                parents[w] = u
+                queue.append(w)
+    return RootedSpanningTree(a, tuple(parents))
+
+
+@st.composite
+def canonical_instances(draw):
+    """(graph, st-numbering, target tree) on 3..9 vertices, from a drawn seed.
+
+    The target is a random depth-first tree or a breadth-first one, whose
+    root has several children.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    g = random_biconnected_graph(draw(st.integers(3, 9)), rng)
+    a = draw(st.integers(0, g.n - 1))
+    num = st_numbering(g, a, draw(st.sampled_from(g.adj[a])))
+    target = random_spanning_tree(g, a, rng) if draw(st.booleans()) else _bfs_tree(g, a)
+    return g, num, target
+
+
+@SETTINGS
+@given(canonical_instances())
+def test_canonical_walk_equals_the_stage_reference(inst):
+    g, num, target = inst
+    current = canonical_tree(g, num)
+    members = {num.order[0]}
+    expected: list[LeafMove] = []
+    if current != target:
+        while len(members) < g.n:
+            _, newcomer = select_boundary_edge(target, members, num)
+            moves, current = gap_sequence(current, members, target, num, g)
+            expected.extend(moves)
+            members.add(newcomer)
+    assert walk_from_canonical(g, num, target).moves == tuple(expected)
