@@ -20,6 +20,7 @@ from .lowerbound import lower_bound_value, make_gk
 from .oracle import (
     DEFAULT_CAP,
     CapExceededError,
+    TreeGraphDisconnectedError,
     count_spanning_trees_kirchhoff,
     enumerate_spanning_trees,
     shortest_tree_path,
@@ -251,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceededError:
         print("ERROR cap-exceeded", file=sys.stderr)
         return 3
-    except (GraphFormatError, NotBiconnectedError, ValueError) as exc:
+    except (GraphFormatError, NotBiconnectedError, TreeGraphDisconnectedError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

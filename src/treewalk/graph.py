@@ -9,7 +9,7 @@ live here: the edge-intersection test and the direct parent-map test.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 
 class GraphFormatError(ValueError):
@@ -147,6 +147,15 @@ class LeafMove(_LeafMoveFields):
         return LeafMove(self.vertex, self.new_parent, self.old_parent)
 
 
+def _child_counts(parents: Sequence[int]) -> list[int]:
+    """Number of children of each vertex in a parent array (the root's -1 counts for none)."""
+    kids = [0] * len(parents)
+    for p in parents:
+        if p >= 0:
+            kids[p] += 1
+    return kids
+
+
 def is_spanning_tree(g: Graph, t: RootedSpanningTree) -> bool:
     """True iff ``t`` is a spanning tree of ``g`` rooted at ``t.root``."""
     return spanning_tree_violation(g, t) is None
@@ -218,6 +227,14 @@ def _check_same_shape(t_a: RootedSpanningTree, t_b: RootedSpanningTree, a: int) 
         raise ValueError(f"both trees must be rooted at {a} (got {t_a.root}, {t_b.root})")
 
 
+def _find(comp: list[int], x: int) -> int:
+    """Representative of ``x`` in the union-find list ``comp``, halving the path to it."""
+    while comp[x] != x:
+        comp[x] = comp[comp[x]]
+        x = comp[x]
+    return x
+
+
 def trees_adjacent(t_a: RootedSpanningTree, t_b: RootedSpanningTree, a: int) -> bool:
     """Edge-intersection adjacency test.
 
@@ -239,29 +256,11 @@ def trees_adjacent(t_a: RootedSpanningTree, t_b: RootedSpanningTree, a: int) -> 
             continue
         p = pb[v]
         if ((v * n + p) if v < p else (p * n + v)) in ea:
-            x = v
-            while comp[x] != x:
-                comp[x] = comp[comp[x]]
-                x = comp[x]
-            y = p
-            while comp[y] != y:
-                comp[y] = comp[comp[y]]
-                y = comp[y]
+            x, y = _find(comp, v), _find(comp, p)
             if x != y:
                 comp[x] = y
-    r = a
-    while comp[r] != r:
-        comp[r] = comp[comp[r]]
-        r = comp[r]
-    size = 0
-    for v in range(n):
-        x = v
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        if x == r:
-            size += 1
-    return size >= n - 1
+    r = _find(comp, a)
+    return sum(_find(comp, v) == r for v in range(n)) >= n - 1
 
 
 def trees_adjacent_via_move(t_a: RootedSpanningTree, t_b: RootedSpanningTree, a: int) -> bool:
@@ -343,22 +342,20 @@ def parse_graph(text: str) -> Graph:
     if len(lines) - 1 > m:
         extra_lineno, extra = lines[1 + m]
         raise GraphFormatError(f"line {extra_lineno}: unexpected extra line {extra!r}")
-    if n < 2:
-        raise GraphFormatError(f"line {lineno}: need at least 2 vertices, got {n}")
-    seen: set[tuple[int, int]] = set()
-    edge_list = []
-    for lineno, line in lines[1:]:
-        u, v = _parse_ints(lineno, line, 2)
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphFormatError(f"line {lineno}: edge ({u}, {v}) out of range for n={n}")
-        if u == v:
-            raise GraphFormatError(f"line {lineno}: self-loop at vertex {u}")
-        e = _norm(u, v)
-        if e in seen:
-            raise GraphFormatError(f"line {lineno}: duplicate edge ({u}, {v})")
-        seen.add(e)
-        edge_list.append((u, v))
-    return Graph.from_edges(n, edge_list)
+
+    def edge_lines() -> Iterator[list[int]]:
+        nonlocal lineno
+        for lineno, line in lines[1:]:
+            yield _parse_ints(lineno, line, 2)
+
+    # Graph.from_edges checks n, then each edge as it takes it, so a
+    # ValueError it raises belongs to the line yielded last (or the header).
+    try:
+        return Graph.from_edges(n, edge_lines())
+    except GraphFormatError:
+        raise
+    except ValueError as exc:
+        raise GraphFormatError(f"line {lineno}: {exc}") from None
 
 
 def format_graph(g: Graph) -> str:
@@ -367,32 +364,44 @@ def format_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_tree(text: str) -> RootedSpanningTree:
-    """Parse the tree file format: a header ``n root`` then n-1 lines ``child parent``."""
+def _read_tree(
+    text: str, what: str, more_lines: bool
+) -> tuple[RootedSpanningTree, list[tuple[int, str]]]:
+    """Read a header ``n root`` and n-1 ``child parent`` lines into a tree.
+
+    Returns the tree and the data lines after it, which must be none unless
+    ``more_lines``.  ``what`` names the description when the text is empty.
+    """
     lines = _data_lines(text)
     if not lines:
-        raise GraphFormatError("empty tree description")
+        raise GraphFormatError(f"empty {what} description")
     lineno, header = lines[0]
     n, root = _parse_ints(lineno, header, 2)
     if n < 2:
         raise GraphFormatError(f"line {lineno}: need at least 2 vertices, got {n}")
     if not 0 <= root < n:
         raise GraphFormatError(f"line {lineno}: root {root} out of range for n={n}")
-    if len(lines) - 1 != n - 1:
-        raise GraphFormatError(f"expected {n - 1} parent lines, found {len(lines) - 1}")
-    parent_map: dict[int, int] = {}
-    for lineno, line in lines[1:]:
+    found = len(lines) - 1
+    if found < n - 1 or (found > n - 1 and not more_lines):
+        raise GraphFormatError(f"expected {n - 1} parent lines, found {found}")
+    parents = [-1] * n
+    for lineno, line in lines[1:n]:
         child, parent = _parse_ints(lineno, line, 2)
         if child == root:
             raise GraphFormatError(f"line {lineno}: root {root} may not have a parent")
         if not (0 <= child < n and 0 <= parent < n):
             raise GraphFormatError(f"line {lineno}: vertex out of range in {line!r}")
-        if child in parent_map:
+        if parents[child] != -1:
             raise GraphFormatError(f"line {lineno}: duplicate parent entry for vertex {child}")
         if child == parent:
             raise GraphFormatError(f"line {lineno}: vertex {child} cannot be its own parent")
-        parent_map[child] = parent
-    return RootedSpanningTree.from_parent_map(root, parent_map, n)
+        parents[child] = parent
+    return RootedSpanningTree(root, tuple(parents)), lines[n:]
+
+
+def parse_tree(text: str) -> RootedSpanningTree:
+    """Parse the tree file format: a header ``n root`` then n-1 lines ``child parent``."""
+    return _read_tree(text, "tree", more_lines=False)[0]
 
 
 def format_tree(t: RootedSpanningTree) -> str:

@@ -9,11 +9,10 @@ at a fixed vertex determines the parent of every other vertex.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graph import Graph, LeafMove, RootedSpanningTree, tree_from_edges
+from .graph import Graph, LeafMove, RootedSpanningTree, _child_counts, _find, tree_from_edges
 from .walk import WalkSequence
 
 DEFAULT_CAP = 10_000_000
@@ -32,68 +31,55 @@ class TreeGraphDisconnectedError(RuntimeError):
     2-connected graphs; raised loudly instead of returning a sentinel)."""
 
 
+def _connects(edges: list[tuple[int, int]], start: int, comp: list[int], parts: int) -> bool:
+    """Whether ``edges[start:]`` join the ``parts`` components of the forest ``comp``."""
+    label = comp.copy()
+    for u, v in edges[start:]:
+        ru, rv = _find(label, u), _find(label, v)
+        if ru != rv:
+            label[ru] = rv
+            parts -= 1
+    return parts == 1
+
+
 def enumerate_spanning_trees(
     g: Graph, root: int = 0, cap: int = DEFAULT_CAP
 ) -> list[RootedSpanningTree]:
     """All spanning trees of ``g`` rooted at ``root``, each exactly once.
 
-    Backtracking over edge inclusion/exclusion in sorted edge order; a branch
-    is pruned as soon as the chosen edges plus the undecided ones can no
-    longer connect the graph.
+    Backtracking over edge inclusion/exclusion in sorted edge order, with an
+    explicit stack, so the depth is not bounded by the recursion limit.  A
+    stack entry holds the next edge to decide, the chosen edges and their
+    forest's union-find list; the include branch is pushed last, so it is
+    explored first.  Only branches that still lead to a spanning tree are
+    pushed: including an edge keeps that true, and excluding one is pruned
+    unless the chosen edges plus the later ones still connect the graph.
     """
     n = g.n
     edges = sorted(g.edges)
     m = len(edges)
     result: list[RootedSpanningTree] = []
-    comp = list(range(n))
-
-    def find(x: int) -> int:
-        while comp[x] != x:
-            x = comp[x]
-        return x
-
-    def can_connect(idx: int) -> bool:
-        # chosen components plus all undecided edges must connect everything
-        label = [find(v) for v in range(n)]
-
-        def lfind(x: int) -> int:
-            while label[x] != x:
-                label[x] = label[label[x]]
-                x = label[x]
-            return x
-
-        for u, v in edges[idx:]:
-            ru, rv = lfind(u), lfind(v)
-            if ru != rv:
-                label[ru] = rv
-        first = lfind(0)
-        return all(lfind(v) == first for v in range(1, n))
-
-    chosen: list[tuple[int, int]] = []
-
-    def rec(idx: int, count: int) -> None:
+    start = list(range(n))
+    stack = [(0, (), start)] if _connects(edges, 0, start, n) else []
+    while stack:
+        idx, chosen, comp = stack.pop()
+        count = len(chosen)
         if count == n - 1:
             if len(result) >= cap:
                 raise CapExceededError(len(result))
             result.append(tree_from_edges(n, chosen, root))
-            return
-        if idx == m or count + (m - idx) < n - 1:
-            return
-        if not can_connect(idx):
-            return
+            continue
         u, v = edges[idx]
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            comp[ru] = rv
-            chosen.append((u, v))
-            rec(idx + 1, count + 1)
-            chosen.pop()
-            comp[ru] = ru
-            rec(idx + 1, count)
-        else:
-            rec(idx + 1, count)
-
-    rec(0, 0)
+        ru, rv = _find(comp, u), _find(comp, v)
+        if ru == rv:
+            stack.append((idx + 1, chosen, comp))
+            continue
+        # The count test is implied by _connects but answers most calls in O(1).
+        if count + m - idx - 1 >= n - 1 and _connects(edges, idx + 1, comp, n - count):
+            stack.append((idx + 1, chosen, comp))
+            comp = comp.copy()  # the exclude branch keeps the list as it is
+        comp[ru] = rv
+        stack.append((idx + 1, chosen + ((u, v),), comp))
     return result
 
 
@@ -136,13 +122,9 @@ def count_spanning_trees_kirchhoff(g: Graph) -> int:
 def _leaf_move_neighbors(
     parents: tuple[int, ...], root: int, adj: Sequence[Sequence[int]]
 ) -> list[tuple[int, ...]]:
-    n = len(parents)
-    kids = [0] * n
-    for v in range(n):
-        if v != root:
-            kids[parents[v]] += 1
+    kids = _child_counts(parents)
     out = []
-    for v in range(n):
+    for v in range(len(parents)):
         if v == root or kids[v]:
             continue
         current = parents[v]
@@ -160,34 +142,34 @@ def _bfs(
     start: tuple[int, ...],
     goal: tuple[int, ...] | None,
     cap: int,
-    want_parents: bool,
-) -> tuple[dict[tuple[int, ...], int], dict[tuple[int, ...], tuple[int, ...]] | None]:
+) -> tuple[dict[tuple[int, ...], tuple[int, ...] | None], int]:
     """Level BFS over the implicit tree-adjacency graph from ``start``.
 
-    Stops early when ``goal`` is seen.  Returns distances (and predecessors
-    when requested).
+    Returns the predecessor of every tree seen (``start`` maps to None) and
+    a depth: the distance of ``goal``, which stops the search as soon as it
+    is seen, or without a goal the eccentricity of ``start``.
     """
-    dist = {start: 0}
-    pred: dict[tuple[int, ...], tuple[int, ...]] | None = {} if want_parents else None
+    pred: dict[tuple[int, ...], tuple[int, ...] | None] = {start: None}
     if goal == start:
-        return dist, pred
-    queue = deque([start])
+        return pred, 0
     adj = g.adj
-    while queue:
-        key = queue.popleft()
-        d = dist[key] + 1
-        for nxt in _leaf_move_neighbors(key, a, adj):
-            if nxt in dist:
-                continue
-            if len(dist) >= cap:
-                raise CapExceededError(len(dist))
-            dist[nxt] = d
-            if pred is not None:
+    level = [start]
+    depth = 0
+    while level:
+        depth += 1
+        next_level = []
+        for key in level:
+            for nxt in _leaf_move_neighbors(key, a, adj):
+                if nxt in pred:
+                    continue
+                if len(pred) >= cap:
+                    raise CapExceededError(len(pred))
                 pred[nxt] = key
-            if nxt == goal:
-                return dist, pred
-            queue.append(nxt)
-    return dist, pred
+                if nxt == goal:
+                    return pred, depth
+                next_level.append(nxt)
+        level = next_level
+    return pred, depth - 1
 
 
 def tree_distance(
@@ -198,15 +180,7 @@ def tree_distance(
     cap: int = DEFAULT_CAP,
 ) -> int:
     """Exact minimum number of leaf moves between two trees rooted at ``a``."""
-    if t.root != a or t_prime.root != a:
-        raise ValueError(f"both trees must be rooted at {a}")
-    start, goal = t.parents, t_prime.parents
-    dist, _ = _bfs(g, a, start, goal, cap, want_parents=False)
-    if goal not in dist:
-        raise TreeGraphDisconnectedError(
-            f"no leaf-move path found after exploring {len(dist)} trees"
-        )
-    return dist[goal]
+    return len(shortest_tree_path(g, a, t, t_prime, cap).moves)
 
 
 def shortest_tree_path(
@@ -220,13 +194,11 @@ def shortest_tree_path(
     if t.root != a or t_prime.root != a:
         raise ValueError(f"both trees must be rooted at {a}")
     start, goal = t.parents, t_prime.parents
-    dist, pred = _bfs(g, a, start, goal, cap, want_parents=True)
-    if goal not in dist:
+    pred, _ = _bfs(g, a, start, goal, cap)
+    if goal not in pred:
         raise TreeGraphDisconnectedError(
-            f"no leaf-move path found after exploring {len(dist)} trees"
+            f"no leaf-move path found after exploring {len(pred)} trees"
         )
-    if pred is None:
-        raise AssertionError("BFS kept no predecessors for the path")
     keys = [goal]
     while keys[-1] != start:
         keys.append(pred[keys[-1]])
@@ -247,14 +219,12 @@ def tree_graph_diameter(g: Graph, a: int, cap: int = DEFAULT_CAP) -> int:
     total = len(all_trees)
     best = 0
     for t in all_trees:
-        dist, _ = _bfs(g, a, t.parents, None, cap, want_parents=False)
-        if len(dist) != total:
+        pred, depth = _bfs(g, a, t.parents, None, cap)
+        if len(pred) != total:
             raise TreeGraphDisconnectedError(
-                f"BFS from one tree reached {len(dist)} of {total} trees"
+                f"BFS from one tree reached {len(pred)} of {total} trees"
             )
-        ecc = max(dist.values())
-        if ecc > best:
-            best = ecc
+        best = max(best, depth)
     return best
 
 

@@ -23,8 +23,13 @@ from typing import Iterable, Iterator
 from .connectivity import NotBiconnectedError, STNumbering, is_biconnected, st_numbering
 from .graph import (
     Graph,
+    GraphFormatError,
     LeafMove,
     RootedSpanningTree,
+    _child_counts,
+    _parse_ints,
+    _read_tree,
+    format_tree,
     spanning_tree_violation,
     trees_adjacent,
 )
@@ -224,14 +229,6 @@ def select_boundary_edge(
     return best_anchor, best_newcomer
 
 
-def _child_counts(parents: Sequence[int]) -> list[int]:
-    kids = [0] * len(parents)
-    for p in parents:
-        if p >= 0:
-            kids[p] += 1
-    return kids
-
-
 def _advance_stage(
     parents: list[int],
     kids: list[int],
@@ -309,11 +306,15 @@ def walk_from_canonical(
     kept in ascending positions, so the dropped vertices of a stage are the
     ones before its newcomer.  Each stage ends with an exact comparison
     against the milestone parent array, which differs from the previous
-    milestone only at the newcomer.
+    milestone only at the newcomer.  Raises ValueError unless ``t_prime``
+    is a spanning tree of ``g`` rooted at the numbering's first vertex.
     """
     root = num.order[0]
     if t_prime.root != root:
         raise ValueError(f"target is rooted at {t_prime.root}, numbering starts at {root}")
+    problem = spanning_tree_violation(g, t_prime)
+    if problem is not None:
+        raise ValueError(f"target tree invalid: {problem}")
     start = canonical_tree(g, num)
     if t_prime == start:
         return WalkSequence(start, ())
@@ -343,8 +344,6 @@ def walk_from_canonical(
             raise AssertionError(f"stage absorbing {newcomer} missed its milestone tree")
         for c in children[newcomer]:
             heappush(boundary, (-pos[c], c))
-    if outside:
-        raise ValueError(f"target tree does not reach vertex {outside[0]} from the root")
     if tuple(parents) != target:
         raise AssertionError("canonical walk does not end at the target tree")
     if len(moves) > n * (n - 1):
@@ -497,8 +496,6 @@ def verify_walk(
 
 def format_walk_moves(seq: WalkSequence) -> str:
     """Stream form of a walk: the initial tree, then one ``v old new`` line per move."""
-    from .graph import format_tree
-
     parts = [format_tree(seq.source)]
     parts.extend(f"{m.vertex} {m.old_parent} {m.new_parent}\n" for m in seq.moves)
     return "".join(parts)
@@ -510,29 +507,10 @@ def parse_walk_moves(text: str) -> WalkSequence:
     Moves are checked structurally; semantic problems (bad adjacency, stale
     old-parent fields) are left for :func:`verify_walk` to report.
     """
-    from .graph import GraphFormatError, _data_lines, _parse_ints
-
-    lines = _data_lines(text)
-    if not lines:
-        raise GraphFormatError("empty walk description")
-    lineno, header = lines[0]
-    n, root = _parse_ints(lineno, header, 2)
-    if n < 2 or not 0 <= root < n:
-        raise GraphFormatError(f"line {lineno}: bad header {header!r}")
-    if len(lines) - 1 < n - 1:
-        raise GraphFormatError(f"expected {n - 1} parent lines, found {len(lines) - 1}")
-    parents = [-1] * n
-    seen: set[int] = set()
-    for lineno, line in lines[1 : n]:
-        child, parent = _parse_ints(lineno, line, 2)
-        if child == root or not (0 <= child < n and 0 <= parent < n) or child == parent:
-            raise GraphFormatError(f"line {lineno}: bad parent entry {line!r}")
-        if child in seen:
-            raise GraphFormatError(f"line {lineno}: duplicate parent entry for vertex {child}")
-        seen.add(child)
-        parents[child] = parent
+    source, rest = _read_tree(text, "walk", more_lines=True)
+    root, n = source.root, source.n
     moves: list[LeafMove] = []
-    for lineno, line in lines[n:]:
+    for lineno, line in rest:
         v, old, new = _parse_ints(lineno, line, 3)
         if v == root:
             raise GraphFormatError(f"line {lineno}: move targets the root vertex {v}")
@@ -542,4 +520,4 @@ def parse_walk_moves(text: str) -> WalkSequence:
             moves.append(LeafMove(v, old, new))
         except ValueError as exc:
             raise GraphFormatError(f"line {lineno}: {exc}") from None
-    return WalkSequence(RootedSpanningTree(root, tuple(parents)), tuple(moves))
+    return WalkSequence(source, tuple(moves))

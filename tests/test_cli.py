@@ -192,3 +192,16 @@ def test_validation_errors(tmp_path, capsys):
     path_graph = _write(tmp_path, "p.txt", format_graph(graphs.PATH3))
     assert main(["stnum", "--graph", path_graph, "0", "2"]) == 2
     capsys.readouterr()
+
+
+def test_oracle_distance_disconnected_tree_graph(tmp_path, capsys):
+    # In the bowtie the path 0-1-2-3-4 has one leaf, 4, and 4 has no other
+    # neighbor, so no leaf move leaves that tree.
+    g = _write(tmp_path, "g.txt", "5 5\n0 1\n1 2\n2 0\n2 3\n3 4\n")
+    a = _write(tmp_path, "a.txt", "5 0\n1 0\n2 1\n3 2\n4 3\n")
+    b = _write(tmp_path, "b.txt", "5 0\n1 0\n2 0\n3 2\n4 3\n")
+    assert main(["oracle", "distance", "--graph", g, "--root", "0",
+                 "--from", a, "--to", b]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no leaf-move path found after exploring 1 trees\n"

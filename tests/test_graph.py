@@ -217,23 +217,29 @@ def test_parse_graph_accepts_comments_and_blanks():
     assert parse_graph(text) == graphs.TRIANGLE
 
 
+# Each entry pins the whole message, so the line number of the edge that
+# Graph.from_edges rejects is checked too.
 AD_GRAPH_ERRORS = [
-    ("", "empty"),
-    ("3\n0 1\n", "expected 2 integers"),
-    ("3 2\n0 1\n", "expected 2 edge lines"),
-    ("3 1\n0 1\n1 2\n", "unexpected extra line"),
-    ("3 1\n0 9\n", "out of range"),
-    ("3 1\n1 1\n", "self-loop"),
-    ("3 2\n0 1\n1 0\n", "duplicate edge"),
-    ("1 0\n", "at least 2 vertices"),
-    ("3 1\n0 x\n", "expected 2 integers"),
+    ("", "empty graph description"),
+    ("3\n0 1\n", "line 1: expected 2 integers, got '3'"),
+    ("3 2\n0 1\n", "expected 2 edge lines, found 1"),
+    ("3 1\n0 1\n1 2\n", "line 3: unexpected extra line '1 2'"),
+    ("3 1\n0 9\n", "line 2: edge (0, 9) out of range for n=3"),
+    ("3 1\n1 1\n", "line 2: self-loop at vertex 1"),
+    ("3 2\n0 1\n1 0\n", "line 3: duplicate edge (1, 0)"),
+    ("1 0\n", "line 1: need at least 2 vertices, got 1"),
+    ("3 1\n0 x\n", "line 2: expected 2 integers, got '0 x'"),
+    ("# c\n\n1 0\n", "line 3: need at least 2 vertices, got 1"),
+    ("# c\n3 3\n0 1\n\n# d\n1 2\n2 2\n", "line 7: self-loop at vertex 2"),
+    ("3 3\n0 1\n# d\n1 2\n2 1\n", "line 5: duplicate edge (2, 1)"),
 ]
 
 
 def test_parse_graph_error_messages():
-    for text, fragment in AD_GRAPH_ERRORS:
-        with pytest.raises(GraphFormatError, match=fragment):
+    for text, message in AD_GRAPH_ERRORS:
+        with pytest.raises(GraphFormatError) as info:
             parse_graph(text)
+        assert str(info.value) == message, text
 
 
 AD_TREE_ERRORS = [

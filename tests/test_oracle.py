@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -72,6 +73,15 @@ def test_enumeration_cap():
     with pytest.raises(CapExceededError) as info:
         enumerate_spanning_trees(graphs.K5, cap=10)
     assert info.value.count == 10
+
+
+def test_enumeration_does_not_recurse_per_edge():
+    # 1,099 edges: deeper than the default recursion limit allows one frame per edge.
+    n = 1100
+    assert sys.getrecursionlimit() <= n
+    path = Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+    trees = enumerate_spanning_trees(path, root=n - 1)
+    assert [t.parents for t in trees] == [tuple(range(1, n)) + (-1,)]
 
 
 def test_bfs_cap():
@@ -218,7 +228,7 @@ def test_shortest_tree_path_checks_each_step(monkeypatch):
     # A predecessor map whose single step changes two parent entries.
     star = RootedSpanningTree(0, (-1, 0, 0, 0))
     path = RootedSpanningTree(0, (-1, 0, 1, 2))
-    corrupt = ({star.parents: 0, path.parents: 1}, {path.parents: star.parents})
+    corrupt = ({star.parents: None, path.parents: star.parents}, 1)
     monkeypatch.setattr(treewalk.oracle, "_bfs", lambda *args, **kwargs: corrupt)
     with pytest.raises(AssertionError, match="changes 2 parent entries"):
         shortest_tree_path(graphs.K4, 0, star, path)

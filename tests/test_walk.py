@@ -235,8 +235,15 @@ def test_walk_from_canonical_root_mismatch():
     with pytest.raises(ValueError, match="rooted at"):
         walk_from_canonical(graphs.TRIANGLE, TRI_NUM, target)
     cycle = RootedSpanningTree(0, (-1, 0, 3, 2))  # 2 and 3 hang from each other
-    with pytest.raises(ValueError, match="does not reach vertex 2"):
+    with pytest.raises(ValueError, match="target tree invalid: parent chain from vertex 2 loops"):
         walk_from_canonical(graphs.C4, STNumbering((0, 1, 2, 3)), cycle)
+
+
+def test_walk_from_canonical_rejects_target_off_the_graph():
+    # The star hangs 2 from 0, but C4 has no edge 0-2.
+    star = RootedSpanningTree(0, (-1, 0, 0, 0))
+    with pytest.raises(ValueError, match=r"target tree invalid: tree edge \(2, 0\) is not a graph edge"):
+        walk_from_canonical(graphs.C4, STNumbering((0, 1, 2, 3)), star)
 
 
 def test_walk_endpoints_and_bound():
@@ -405,7 +412,7 @@ def test_walk_moves_round_trip():
 def test_parse_walk_moves_errors():
     with pytest.raises(GraphFormatError):
         parse_walk_moves("")
-    with pytest.raises(GraphFormatError, match="bad header"):
+    with pytest.raises(GraphFormatError, match="root 7 out of range"):
         parse_walk_moves("2 7\n1 0\n")
     with pytest.raises(GraphFormatError, match="root"):
         parse_walk_moves("3 0\n1 0\n2 0\n0 1 2\n")
