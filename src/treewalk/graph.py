@@ -280,29 +280,40 @@ def trees_adjacent_via_move(t_a: RootedSpanningTree, t_b: RootedSpanningTree, a:
 
 
 def tree_from_edges(n: int, edge_list: Iterable[tuple[int, int]], root: int) -> RootedSpanningTree:
-    """Orient an undirected tree edge list away from ``root``."""
+    """Orient an undirected tree edge list away from ``root``.
+
+    One pass over the edges: an edge with one end reached hangs the other
+    end from it, and an edge with neither end reached waits at both ends
+    until one of them is.  Each edge waits at most once, so the pass is
+    linear; in sorted edge order few edges wait at all.  ``n - 1`` edges
+    that reach every vertex form a spanning tree.
+    """
     edges = list(edge_list)
     if len(edges) != n - 1:
         raise ValueError(f"expected {n - 1} edges, got {len(edges)}")
-    lists: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        lists[u].append(v)
-        lists[v].append(u)
     parents = [-1] * n
-    seen = [False] * n
-    seen[root] = True
-    stack = [root]
-    reached = 1
-    while stack:
-        u = stack.pop()
-        for w in lists[u]:
-            if not seen[w]:
-                seen[w] = True
-                parents[w] = u
-                reached += 1
-                stack.append(w)
-    if reached != n:
+    parents[root] = root  # marks the root as reached
+    waiting: dict[int, list[int]] = {}
+    for u, v in edges:
+        if parents[u] < 0:
+            if parents[v] < 0:
+                waiting.setdefault(u, []).append(v)
+                waiting.setdefault(v, []).append(u)
+                continue
+            u, v = v, u
+        elif parents[v] >= 0:
+            raise ValueError(f"edge ({u}, {v}) closes a cycle")
+        parents[v] = u
+        if waiting:
+            reached = [v]
+            for y in reached:
+                for z in waiting.pop(y, ()):
+                    if parents[z] < 0:
+                        parents[z] = y
+                        reached.append(z)
+    if -1 in parents:
         raise ValueError("edge list does not form a spanning tree")
+    parents[root] = -1
     return RootedSpanningTree(root, tuple(parents))
 
 
@@ -337,6 +348,8 @@ def parse_graph(text: str) -> Graph:
         raise GraphFormatError("empty graph description")
     lineno, header = lines[0]
     n, m = _parse_ints(lineno, header, 2)
+    if m < 0:
+        raise GraphFormatError(f"line {lineno}: negative edge count {m}")
     if len(lines) - 1 < m:
         raise GraphFormatError(f"expected {m} edge lines, found {len(lines) - 1}")
     if len(lines) - 1 > m:

@@ -3,8 +3,9 @@
 Everything here is independent of the constructive walk machinery so that the
 two can certify each other.  The state space is the set of all spanning trees
 rooted at a fixed vertex, with one-leaf-move adjacency; a tree is encoded by
-its parent array (the "tree key"), which is canonical because rooting a tree
-at a fixed vertex determines the parent of every other vertex.
+its parent array packed into one int (see ``_PackedTrees``), which is
+canonical because rooting a tree at a fixed vertex determines the parent of
+every other vertex.
 """
 
 from __future__ import annotations
@@ -12,7 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graph import Graph, LeafMove, RootedSpanningTree, _child_counts, _find, tree_from_edges
+from .graph import (
+    Graph,
+    LeafMove,
+    RootedSpanningTree,
+    _find,
+    spanning_tree_violation,
+    tree_from_edges,
+)
 from .walk import WalkSequence
 
 DEFAULT_CAP = 10_000_000
@@ -119,57 +127,107 @@ def count_spanning_trees_kirchhoff(g: Graph) -> int:
     return sign * mat[size - 1][size - 1]
 
 
-def _leaf_move_neighbors(
-    parents: tuple[int, ...], root: int, adj: Sequence[Sequence[int]]
-) -> list[tuple[int, ...]]:
-    kids = _child_counts(parents)
-    out = []
-    for v in range(len(parents)):
-        if v == root or kids[v]:
-            continue
-        current = parents[v]
-        for w in adj[v]:
-            if w != current:
-                candidate = list(parents)
-                candidate[v] = w
-                out.append(tuple(candidate))
-    return out
+class _PackedTrees:
+    """Spanning trees of ``g`` rooted at ``root``, each packed into one int.
 
-
-def _bfs(
-    g: Graph,
-    a: int,
-    start: tuple[int, ...],
-    goal: tuple[int, ...] | None,
-    cap: int,
-) -> tuple[dict[tuple[int, ...], tuple[int, ...] | None], int]:
-    """Level BFS over the implicit tree-adjacency graph from ``start``.
-
-    Returns the predecessor of every tree seen (``start`` maps to None) and
-    a depth: the distance of ``goal``, which stops the search as soon as it
-    is seen, or without a goal the eccentricity of ``start``.
+    Field v of a key (``bits`` wide, lowest field first) holds the parent of
+    v, and the root's field holds the root itself.  A vertex is therefore a
+    leaf exactly when no field holds it, and rehanging leaf v from parent p
+    to w adds ``(w - p) << (bits * v)`` to the key.
     """
-    pred: dict[tuple[int, ...], tuple[int, ...] | None] = {start: None}
-    if goal == start:
-        return pred, 0
-    adj = g.adj
-    level = [start]
-    depth = 0
-    while level:
-        depth += 1
-        next_level = []
+
+    def __init__(self, g: Graph, root: int):
+        n = g.n
+        self.n, self.root = n, root
+        bits = max(8, (n - 1).bit_length())
+        self._shifts = [bits * v for v in range(n)]
+        # _steps[v][p]: what rehanging v from parent p to each other neighbor adds.
+        self._steps = [
+            {p: tuple((w - p) << (bits * v) for w in g.adj[v] if w != p) for p in g.adj[v]}
+            for v in range(n)
+        ]
+        if bits == 8:
+            self.fields = lambda key: key.to_bytes(n, "little")
+        else:
+            mask = (1 << bits) - 1
+            self.fields = lambda key: [key >> s & mask for s in self._shifts]
+
+    def pack(self, t: RootedSpanningTree) -> int:
+        """The key of ``t``, a spanning tree of the graph rooted at ``root``."""
+        key = self.root << self._shifts[self.root]
+        for v, p in enumerate(t.parents):
+            if v != self.root:
+                key += p << self._shifts[v]
+        return key
+
+    def parents(self, key: int) -> tuple[int, ...]:
+        out = list(self.fields(key))
+        out[self.root] = -1
+        return tuple(out)
+
+    def neighbors(self, key: int) -> list[int]:
+        """Keys of the trees one leaf move away from ``key``, by ascending leaf."""
+        fields = self.fields(key)
+        inner = set(fields)
+        out: list[int] = []
+        for v, steps in enumerate(self._steps):
+            if v not in inner:
+                out += map(key.__add__, steps[fields[v]])
+        return out
+
+
+def _meet_in_the_middle(space: _PackedTrees, start: int, goal: int, cap: int) -> list[int]:
+    """Keys of one shortest leaf-move path from ``start`` to ``goal != start``.
+
+    Bidirectional BFS: each round expands one whole level of the smaller
+    frontier, recording predecessors on its side.  Every key on which the
+    sides first meet lies at the shortest distance (the levels before held
+    no path that short), so the smallest is taken and the two predecessor
+    chains are joined at it.  ``cap`` bounds the keys stored on both sides.
+    """
+    fwd: dict[int, int | None] = {start: None}
+    bwd: dict[int, int | None] = {goal: None}
+    fwd_level, bwd_level = [start], [goal]
+    neighbors = space.neighbors
+    while True:
+        forward = len(fwd_level) <= len(bwd_level)
+        level, pred, other = (fwd_level, fwd, bwd) if forward else (bwd_level, bwd, fwd)
+        limit = cap - len(other)
+        next_level: list[int] = []
+        meets = []
         for key in level:
-            for nxt in _leaf_move_neighbors(key, a, adj):
+            for nxt in neighbors(key):
                 if nxt in pred:
                     continue
-                if len(pred) >= cap:
-                    raise CapExceededError(len(pred))
+                if len(pred) >= limit:
+                    raise CapExceededError(len(fwd) + len(bwd))
                 pred[nxt] = key
-                if nxt == goal:
-                    return pred, depth
                 next_level.append(nxt)
-        level = next_level
-    return pred, depth - 1
+                if nxt in other:
+                    meets.append(nxt)
+        if meets:
+            break
+        if not next_level:
+            # This side's whole component is explored and misses the other end.
+            raise TreeGraphDisconnectedError(
+                f"no leaf-move path found after exploring {len(pred)} trees"
+            )
+        if forward:
+            fwd_level = next_level
+        else:
+            bwd_level = next_level
+    meet = min(meets)
+    path = []
+    key = meet
+    while key is not None:
+        path.append(key)
+        key = fwd[key]
+    path.reverse()
+    key = bwd[meet]
+    while key is not None:
+        path.append(key)
+        key = bwd[key]
+    return path
 
 
 def tree_distance(
@@ -190,21 +248,21 @@ def shortest_tree_path(
     t_prime: RootedSpanningTree,
     cap: int = DEFAULT_CAP,
 ) -> WalkSequence:
-    """One BFS-shortest walk between the two trees, as a verifiable sequence."""
+    """One shortest walk between the two trees, as a verifiable sequence."""
     if t.root != a or t_prime.root != a:
         raise ValueError(f"both trees must be rooted at {a}")
-    start, goal = t.parents, t_prime.parents
-    pred, _ = _bfs(g, a, start, goal, cap)
-    if goal not in pred:
-        raise TreeGraphDisconnectedError(
-            f"no leaf-move path found after exploring {len(pred)} trees"
-        )
-    keys = [goal]
-    while keys[-1] != start:
-        keys.append(pred[keys[-1]])
-    keys.reverse()
+    for name, tree in (("source", t), ("target", t_prime)):
+        problem = spanning_tree_violation(g, tree)
+        if problem is not None:
+            raise ValueError(f"{name} tree invalid: {problem}")
+    if t == t_prime:
+        return WalkSequence(t, ())
+    space = _PackedTrees(g, a)
+    keys = _meet_in_the_middle(space, space.pack(t), space.pack(t_prime), cap)
     moves = []
-    for before, after in zip(keys, keys[1:]):
+    after = t.parents
+    for key in keys[1:]:
+        before, after = after, space.parents(key)
         changed = [v for v in range(g.n) if before[v] != after[v]]
         if len(changed) != 1:
             raise AssertionError(f"BFS path step changes {len(changed)} parent entries, not 1")
@@ -214,15 +272,36 @@ def shortest_tree_path(
 
 
 def tree_graph_diameter(g: Graph, a: int, cap: int = DEFAULT_CAP) -> int:
-    """Largest pairwise leaf-move distance among all spanning trees rooted at ``a``."""
-    all_trees = enumerate_spanning_trees(g, root=a, cap=cap)
-    total = len(all_trees)
+    """Largest pairwise leaf-move distance among all spanning trees rooted at ``a``.
+
+    The trees are enumerated once and numbered; each tree's neighbors become
+    a list of numbers, and one BFS per tree runs over those lists.
+    """
+    space = _PackedTrees(g, a)
+    keys = [space.pack(t) for t in enumerate_spanning_trees(g, root=a, cap=cap)]
+    index = {key: i for i, key in enumerate(keys)}
+    adjacent = [[index[nxt] for nxt in space.neighbors(key)] for key in keys]
+    total = len(keys)
     best = 0
-    for t in all_trees:
-        pred, depth = _bfs(g, a, t.parents, None, cap)
-        if len(pred) != total:
+    for source in range(total):
+        seen = bytearray(total)
+        seen[source] = 1
+        level = [source]
+        reached = 0
+        depth = -1
+        while level:
+            reached += len(level)
+            depth += 1
+            next_level = []
+            for i in level:
+                for j in adjacent[i]:
+                    if not seen[j]:
+                        seen[j] = 1
+                        next_level.append(j)
+            level = next_level
+        if reached != total:
             raise TreeGraphDisconnectedError(
-                f"BFS from one tree reached {len(pred)} of {total} trees"
+                f"BFS from one tree reached {reached} of {total} trees"
             )
         best = max(best, depth)
     return best

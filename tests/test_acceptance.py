@@ -37,7 +37,7 @@ from treewalk import (
     verify_walk,
     walk,
 )
-from treewalk.oracle import _leaf_move_neighbors
+from treewalk.oracle import _PackedTrees
 
 import graphs
 from test_connectivity import _valid_by_definition
@@ -147,10 +147,11 @@ def test_criterion_4_oracle_cross_check():
     # connectivity of the tree graph: one BFS must reach every spanning tree
     for name, g in graphs.BICONNECTED.items():
         trees = enumerate_spanning_trees(g, root=0)
-        seen = {trees[0].parents}
+        space = _PackedTrees(g, 0)
+        seen = {space.pack(trees[0])}
         queue = deque(seen)
         while queue:
-            for nxt in _leaf_move_neighbors(queue.popleft(), 0, g.adj):
+            for nxt in space.neighbors(queue.popleft()):
                 if nxt not in seen:
                     seen.add(nxt)
                     queue.append(nxt)

@@ -97,6 +97,16 @@ def test_tree_from_edges_rejects_non_trees():
         tree_from_edges(4, [(0, 1), (1, 2)], root=0)
     with pytest.raises(ValueError):
         tree_from_edges(4, [(0, 1), (1, 2), (0, 2)], root=0)  # cycle misses vertex 3
+    with pytest.raises(ValueError, match=r"edge \(0, 2\) closes a cycle"):
+        tree_from_edges(4, [(0, 1), (1, 2), (0, 2)], root=0)
+    # the cycle 1-2-3 is found while its edges wait for a reached end
+    with pytest.raises(ValueError, match="does not form a spanning tree"):
+        tree_from_edges(4, [(1, 2), (2, 3), (1, 3)], root=0)
+    with pytest.raises(ValueError, match="does not form a spanning tree"):
+        tree_from_edges(4, [(0, 1), (2, 3), (2, 3)], root=0)
+    # waiting edges are hung once an end is reached, whatever the edge order
+    assert tree_from_edges(5, [(3, 4), (2, 3), (1, 2), (0, 1)], root=0).parents == (-1, 0, 1, 2, 3)
+    assert tree_from_edges(5, [(3, 4), (0, 4), (1, 2), (1, 3)], root=2).parents == (4, 2, -1, 1, 3)
 
 
 def test_leaf_move_basics():
@@ -224,6 +234,8 @@ AD_GRAPH_ERRORS = [
     ("3\n0 1\n", "line 1: expected 2 integers, got '3'"),
     ("3 2\n0 1\n", "expected 2 edge lines, found 1"),
     ("3 1\n0 1\n1 2\n", "line 3: unexpected extra line '1 2'"),
+    ("3 -1\n", "line 1: negative edge count -1"),
+    ("# c\n3 -2\n0 1\n", "line 2: negative edge count -2"),
     ("3 1\n0 9\n", "line 2: edge (0, 9) out of range for n=3"),
     ("3 1\n1 1\n", "line 2: self-loop at vertex 1"),
     ("3 2\n0 1\n1 0\n", "line 3: duplicate edge (1, 0)"),

@@ -98,6 +98,23 @@ def test_distance_basics():
     assert tree_distance(graphs.TRIANGLE, 0, t_star, t_path) == 1
     with pytest.raises(ValueError):
         tree_distance(graphs.TRIANGLE, 1, t_star, t_path)
+    # vertex 2 hangs from 0, but (0, 2) is no edge of C5
+    off_graph = RootedSpanningTree(0, (-1, 0, 0, 2, 0))
+    c5_path = tree_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)], root=0)
+    with pytest.raises(ValueError, match=r"source tree invalid: tree edge \(2, 0\) is not a graph edge"):
+        tree_distance(graphs.C5, 0, off_graph, c5_path)
+    with pytest.raises(ValueError, match="target tree invalid: vertex count mismatch"):
+        tree_distance(graphs.C5, 0, c5_path, t_path)
+    # every parent entry is a K4 edge, but 1 -> 2 -> 3 -> 1 never reaches the root
+    cyclic = RootedSpanningTree(0, (-1, 2, 3, 1))
+    k4_star = tree_from_edges(4, [(0, 1), (0, 2), (0, 3)], root=0)
+    with pytest.raises(ValueError, match="source tree invalid: parent chain from vertex 1 loops"):
+        tree_distance(graphs.K4, 0, cyclic, k4_star)
+    # the trees are checked before the equal-trees shortcut
+    with pytest.raises(ValueError, match="source tree invalid"):
+        tree_distance(graphs.C5, 0, off_graph, off_graph)
+    with pytest.raises(ValueError, match="source tree invalid"):
+        shortest_tree_path(graphs.K4, 0, cyclic, cyclic)
 
 
 def test_distance_is_symmetric():
@@ -123,13 +140,13 @@ def test_distance_one_iff_adjacent_and_distinct():
 
 def test_gk_distances():
     measured = {}
-    for k in (1, 2, 3):
+    for k in (1, 2, 3, 4):
         inst = make_gk(k)
         d = tree_distance(inst.graph, inst.root, inst.tree_a, inst.tree_b)
         measured[k] = d
         assert d >= lower_bound_value(k)
     # regression values from this oracle; the bound above is the real contract
-    assert measured == {1: 4, 2: 16, 3: 36}
+    assert measured == {1: 4, 2: 16, 3: 36, 4: 64}
 
 
 def test_disconnected_tree_graph_is_reported():
@@ -169,6 +186,19 @@ def test_diameters_match_frozen_values():
         g = graphs.BICONNECTED[name]
         assert tree_graph_diameter(g, 0) == expected, name
         assert expected <= 2 * g.n * (g.n - 1)
+
+
+def test_long_cycle_packs_parents_wider_than_a_byte():
+    # The spanning trees of C_n rooted at 0 form a path: tree i lacks edge
+    # (i, i+1), and only neighboring trees share a movable leaf.
+    n = 300
+    cycle = Graph.from_edges(n, [(v, (v + 1) % n) for v in range(n)])
+    first = tree_from_edges(n, [(v, v + 1) for v in range(1, n - 1)] + [(0, n - 1)], root=0)
+    last = tree_from_edges(n, [(v, v + 1) for v in range(n - 1)], root=0)
+    seq = shortest_tree_path(cycle, 0, first, last)
+    assert len(seq.moves) == n - 1
+    assert verify_walk(cycle, 0, seq, source=first, target=last).ok
+    assert tree_graph_diameter(cycle, 0) == n - 1
 
 
 def test_diameter_of_single_tree_graph_is_zero():
@@ -213,10 +243,12 @@ def test_removal_times_follow_the_trees_not_the_old_parent_fields():
     assert removal_times(seq, [(0, 2), (1, 2)]).times == (1, None)
 
 
-def test_g2_shortest_walk_removal_chain():
-    inst = make_gk(2)
+def _assert_removal_chain(k: int) -> None:
+    """Along the shortest G_k walk the path edges (i, i+1), i < 4k, leave in
+    strictly decreasing order of i."""
+    inst = make_gk(k)
     seq = shortest_tree_path(inst.graph, inst.root, inst.tree_a, inst.tree_b)
-    probes = [(i, i + 1) for i in range(1, 8)]
+    probes = [(i, i + 1) for i in range(1, 4 * k)]
     ana = removal_times(seq, probes)
     values = [ana.time_of(*e) for e in probes]
     assert all(t is not None for t in values)
@@ -224,11 +256,20 @@ def test_g2_shortest_walk_removal_chain():
     assert len(set(values)) == len(values)
 
 
+def test_g2_shortest_walk_removal_chain():
+    _assert_removal_chain(2)
+
+
+def test_g4_shortest_walk_removal_chain():
+    _assert_removal_chain(4)  # 15 probes
+
+
 def test_shortest_tree_path_checks_each_step(monkeypatch):
-    # A predecessor map whose single step changes two parent entries.
+    # A search result whose single step changes two parent entries.
     star = RootedSpanningTree(0, (-1, 0, 0, 0))
     path = RootedSpanningTree(0, (-1, 0, 1, 2))
-    corrupt = ({star.parents: None, path.parents: star.parents}, 1)
-    monkeypatch.setattr(treewalk.oracle, "_bfs", lambda *args, **kwargs: corrupt)
+    space = treewalk.oracle._PackedTrees(graphs.K4, 0)
+    corrupt = [space.pack(star), space.pack(path)]
+    monkeypatch.setattr(treewalk.oracle, "_meet_in_the_middle", lambda *args, **kwargs: corrupt)
     with pytest.raises(AssertionError, match="changes 2 parent entries"):
         shortest_tree_path(graphs.K4, 0, star, path)
