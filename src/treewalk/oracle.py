@@ -6,11 +6,22 @@ rooted at a fixed vertex, with one-leaf-move adjacency; a tree is encoded by
 its parent array packed into one int (see ``_PackedTrees``), which is
 canonical because rooting a tree at a fixed vertex determines the parent of
 every other vertex.
+
+Trees are counted by the matrix-tree theorem, independently of enumeration:
+sparse elimination of the reduced Laplacian L0 in minimum-degree order,
+modulo the smallest Mersenne prime P above H = prod of deg(v), v != 0.  One
+prime is exact.  Every principal minor of L0 lies in [0, H] (Hadamard), so
+a pivot, a ratio of nested minors, is 0 mod P only when that minor is 0.
+Such a minor makes L0 singular, so the graph is disconnected and the count
+is 0; otherwise the pivots multiply to the count mod P, which is the count.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
+from math import prod
 from typing import Sequence
 
 from .graph import (
@@ -91,40 +102,85 @@ def enumerate_spanning_trees(
     return result
 
 
-def count_spanning_trees_kirchhoff(g: Graph) -> int:
-    """Number of spanning trees via the Laplacian minor determinant.
+# Exponents e of the Mersenne primes 2^e - 1, ascending.
+_MERSENNE_EXPONENTS = (
+    2, 3, 5, 7, 13, 17, 19, 31, 61, 89, 107, 127, 521, 607, 1279,
+    2203, 2281, 3217, 4253, 4423, 9689, 9941, 11213,
+)
+_MERSENNE_PRIMES = tuple((1 << e) - 1 for e in _MERSENNE_EXPONENTS)
 
-    Fraction-free (Bareiss) elimination over Python integers, so the value is
-    exact at any size.
+
+def _mersenne_modulus(bound: int) -> int:
+    """The smallest tabled Mersenne prime above ``bound``."""
+    i = bisect_right(_MERSENNE_PRIMES, bound)
+    if i == len(_MERSENNE_PRIMES):
+        raise ValueError(
+            f"degree product has {bound.bit_length()} bits, above the largest "
+            f"tabled Mersenne prime 2^{_MERSENNE_EXPONENTS[-1]} - 1"
+        )
+    return _MERSENNE_PRIMES[i]
+
+
+def count_spanning_trees_kirchhoff(g: Graph) -> int:
+    """Number of spanning trees: the determinant of the reduced Laplacian.
+
+    L0 is the Laplacian with row and column 0 deleted, held as one dict per
+    row.  Sparse Gaussian elimination runs on it modulo the smallest
+    Mersenne prime P above H = prod of deg(v) for v != 0, taking as the next
+    pivot a row of minimum length (a heap with lazy entries) and filling in
+    the entries the elimination creates.  One prime gives the exact count:
+
+    - L0 is positive semidefinite with diagonal deg(v), so by Hadamard's
+      inequality every principal minor lies in [0, H], and H < P;
+    - the k-th pivot is D_k / D_(k-1), a ratio of nested principal minors,
+      so it is 0 mod P exactly when D_k = 0;
+    - a singular principal submatrix means L0 is not positive definite,
+      so the graph is disconnected, and 0 is returned;
+    - otherwise the pivots multiply to the count mod P, and the count lies
+      in [0, H], so it is the count itself.
+
+    (A vertex v != 0 of degree 0 makes H = 0; its row stays the zero
+    diagonal, so its pivot is exactly 0 and 0 is returned.)  An updated
+    entry is folded at bit e of P = 2^e - 1, as 2^e = 1 mod P, which keeps
+    it within P + 5 of 0 without a division; pivots and pivot rows are
+    reduced fully.  Raises ``ValueError`` when H reaches the largest tabled
+    prime.
     """
-    n = g.n
-    size = n - 1
-    mat = [[0] * size for _ in range(size)]
-    for v in range(1, n):
-        mat[v - 1][v - 1] = len(g.adj[v])
-        for w in g.adj[v]:
-            if w >= 1:
-                mat[v - 1][w - 1] -= 1
-    sign = 1
-    prev = 1
-    for k in range(size - 1):
-        if mat[k][k] == 0:
-            for r in range(k + 1, size):
-                if mat[r][k] != 0:
-                    mat[k], mat[r] = mat[r], mat[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = mat[k][k]
-        for i in range(k + 1, size):
-            row_i = mat[i]
-            row_k = mat[k]
-            factor = row_i[k]
-            for j in range(k + 1, size):
-                row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
-        prev = pivot
-    return sign * mat[size - 1][size - 1]
+    adj = g.adj
+    p = _mersenne_modulus(prod(map(len, adj[1:])))
+    e = p.bit_length()
+    rows: list[dict[int, int] | None] = [None] * g.n
+    for v in range(1, g.n):
+        row = dict.fromkeys(adj[v], -1)
+        row.pop(0, None)
+        row[v] = len(adj[v])
+        rows[v] = row
+    heap = [(len(row), v) for v, row in enumerate(rows) if row is not None]
+    heapify(heap)
+    count = 1
+    while heap:
+        length, k = heappop(heap)
+        row_k = rows[k]
+        if row_k is None or len(row_k) != length:
+            continue  # eliminated, or its length changed since this entry
+        rows[k] = None
+        pivot = row_k.pop(k) % p
+        if not pivot:
+            return 0
+        count = count * pivot % p
+        inv = pow(pivot, -1, p)
+        # L0 stays symmetric, so row k also holds column k.
+        items = [(j, b % p) for j, b in row_k.items()]
+        for i, a in items:
+            row_i = rows[i]
+            del row_i[k]
+            f = a * inv % p
+            get = row_i.get
+            for j, b in items:
+                x = get(j, 0) - f * b
+                row_i[j] = (x & p) + (x >> e)
+            heappush(heap, (len(row_i), i))
+    return count
 
 
 class _PackedTrees:

@@ -1,0 +1,118 @@
+"""Exact spanning-tree counts at sizes the generative tests do not reach.
+
+The count is taken modulo one Mersenne prime chosen above the degree
+product H, so these cases cross several entries of the prime table, and
+the table itself is checked for primality.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+
+import pytest
+
+from treewalk import Graph, count_spanning_trees_kirchhoff, make_gk, random_biconnected_graph
+from treewalk.oracle import _MERSENNE_EXPONENTS, _mersenne_modulus
+
+import graphs
+
+
+def _complete(n: int) -> Graph:
+    return Graph.from_edges(n, [(u, v) for v in range(n) for u in range(v)])
+
+
+def _complete_bipartite(a: int, b: int) -> Graph:
+    return Graph.from_edges(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+
+
+def _degree_product(g: Graph) -> int:
+    return math.prod(len(g.adj[v]) for v in range(1, g.n))
+
+
+def _lucas_lehmer(e: int) -> bool:
+    """Whether 2^e - 1 is prime, for a prime exponent e (M_2 = 3 by inspection)."""
+    if e == 2:
+        return True
+    m = (1 << e) - 1
+    s = 4
+    for _ in range(e - 2):
+        s = s * s - 2
+        # Two folds at bit e (2^e = 1 mod m) bring s below m + 5.
+        s = (s & m) + (s >> e)
+        s = (s & m) + (s >> e)
+    return s % m == 0
+
+
+# n -> exponent of the Mersenne prime just above H = (n-1)^(n-1)
+CAYLEY_EXPONENTS = {2: 2, 3: 3, 10: 31, 20: 89, 23: 107, 25: 127, 30: 521, 60: 521}
+
+
+@pytest.mark.parametrize("n", sorted(CAYLEY_EXPONENTS))
+def test_cayley_formula(n):
+    g = _complete(n)
+    assert _mersenne_modulus(_degree_product(g)) == (1 << CAYLEY_EXPONENTS[n]) - 1
+    assert count_spanning_trees_kirchhoff(g) == n ** (n - 2)
+
+
+@pytest.mark.parametrize("a, b", [(1, 5), (3, 4), (20, 25)])
+def test_complete_bipartite_formula(a, b):
+    assert count_spanning_trees_kirchhoff(_complete_bipartite(a, b)) == a ** (b - 1) * b ** (a - 1)
+
+
+def test_gk_counts_beyond_enumeration():
+    assert count_spanning_trees_kirchhoff(make_gk(6).graph) == 5_757_961
+    assert count_spanning_trees_kirchhoff(make_gk(7).graph) == 80_198_051
+
+
+def test_equals_dense_reference_on_the_shared_graphs():
+    named = dict(graphs.ALL_GRAPHS)
+    named.update({f"g{k}": make_gk(k).graph for k in range(1, 6)})
+    for name, g in named.items():
+        assert count_spanning_trees_kirchhoff(g) == graphs.bareiss_count(g), name
+
+
+def test_count_survives_relabelling_at_n200():
+    rng = random.Random(2024)
+    g = random_biconnected_graph(200, rng, extra_edges=100)
+    perm = rng.sample(range(200), 200)
+    relabelled = Graph.from_edges(200, [(perm[u], perm[v]) for u, v in g.edges])
+    count = count_spanning_trees_kirchhoff(g)
+    assert count > 0
+    assert count == count_spanning_trees_kirchhoff(relabelled) == graphs.bareiss_count(g)
+
+
+def test_disconnected_large_graph_counts_zero():
+    # Two copies of K_30: every pivot of the first copy is positive, and the
+    # last vertex of the second copy reaches a zero pivot.
+    edges = [(u, v) for v in range(30) for u in range(v)]
+    g = Graph.from_edges(60, edges + [(u + 30, v + 30) for u, v in edges])
+    assert count_spanning_trees_kirchhoff(g) == 0 == graphs.bareiss_count(g)
+
+
+def test_table_exponents_give_mersenne_primes():
+    assert list(_MERSENNE_EXPONENTS) == sorted(set(_MERSENNE_EXPONENTS))
+    for e in _MERSENNE_EXPONENTS:
+        assert _lucas_lehmer(e), e
+    # the test itself rejects composite Mersenne numbers of prime exponent
+    assert not any(_lucas_lehmer(e) for e in (11, 23, 29, 37, 41))
+
+
+def test_modulus_is_the_smallest_tabled_prime_above_the_bound():
+    top = (1 << _MERSENNE_EXPONENTS[-1]) - 1
+    assert _mersenne_modulus(0) == 3
+    assert _mersenne_modulus(2) == 3
+    assert _mersenne_modulus(3) == 7
+    assert _mersenne_modulus((1 << 61) - 2) == (1 << 61) - 1
+    assert _mersenne_modulus((1 << 61) - 1) == (1 << 89) - 1
+    assert _mersenne_modulus(top - 1) == top
+    with pytest.raises(ValueError, match="above the largest"):
+        _mersenne_modulus(top)
+
+
+def test_count_refuses_a_degree_product_past_the_table():
+    # On a path rooted at one end, H = 2^(n-2): past 2^11213 - 1 for this n.
+    n = _MERSENNE_EXPONENTS[-1] + 2
+    path = Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+    with pytest.raises(ValueError, match="above the largest"):
+        count_spanning_trees_kirchhoff(path)
