@@ -42,73 +42,20 @@ class STNumbering:
         """1-based position of every vertex, indexed by vertex id."""
         return self._pos
 
-    def position(self, v: int) -> int:
-        return self._pos[v]
 
-    def vertex_at(self, position: int) -> int:
-        return self.order[position - 1]
+def _lowpoint_search(g: Graph, s: int, t: int):
+    """Depth-first search from t taking the edge (t, s) first, with lowpoints.
 
-
-def is_biconnected(g: Graph) -> bool:
-    """True iff ``g`` is connected, has no cut vertex, and n >= 3."""
+    Returns the tree (parents, children), the back edges seen from both ends
+    and, per vertex, the back edge or the child that realizes its lowpoint.
+    Returns None unless ``g`` is 2-vertex-connected (Tarjan's lowpoint test):
+    n >= 3, every vertex reached, t with one tree child, and for every other
+    vertex v each child subtree has a back edge to above v.
+    """
     n = g.n
     if n < 3:
-        return False
+        return None
     adj = g.adj
-    disc = [0] * n
-    low = [0] * n
-    parent = [-1] * n
-    ptr = [0] * n
-    disc[0] = low[0] = 1
-    timer = 1
-    root_children = 0
-    stack = [0]
-    while stack:
-        v = stack[-1]
-        if ptr[v] < len(adj[v]):
-            w = adj[v][ptr[v]]
-            ptr[v] += 1
-            if w == parent[v]:
-                continue
-            if disc[w] == 0:
-                parent[w] = v
-                timer += 1
-                disc[w] = low[w] = timer
-                stack.append(w)
-                if v == 0:
-                    root_children += 1
-            elif disc[w] < low[v]:
-                low[v] = disc[w]
-        else:
-            stack.pop()
-            p = parent[v]
-            if p != -1:
-                if low[v] < low[p]:
-                    low[p] = low[v]
-                if p != 0 and low[v] >= disc[p]:
-                    return False
-    if timer != n:
-        return False
-    return root_children == 1
-
-
-def st_numbering(g: Graph, s: int, t: int) -> STNumbering:
-    """Compute an st-numbering of a biconnected graph for the edge (s, t).
-
-    Depth-first search from t taking the edge (t, s) first gives preorder
-    numbers and lowpoints; a second pass repeatedly peels a path of unvisited
-    vertices between two visited ones off the structure and splices it into a
-    growing vertex order (the classical linear-time scheme).  Output is
-    deterministic: neighbor lists are scanned in ascending vertex order.
-    """
-    if not is_biconnected(g):
-        raise NotBiconnectedError("st-numbering requires a 2-vertex-connected graph")
-    if not g.has_edge(s, t):
-        raise ValueError(f"({s}, {t}) is not a graph edge")
-    n = g.n
-    adj = g.adj
-
-    # --- DFS from t, first tree edge (t, s) ---
     pre = [0] * n
     parent = [-1] * n
     children: list[list[int]] = [[] for _ in range(n)]
@@ -140,8 +87,9 @@ def st_numbering(g: Graph, s: int, t: int) -> STNumbering:
                 down_backs[w].append(v)
         else:
             stack.pop()
+    if timer != n or len(children[t]) != 1:
+        return None
 
-    # --- lowpoints, plus the edge that realizes each one ---
     low = pre[:]
     low_via_back = [-1] * n   # ancestor reached by a back edge, or -1
     low_via_child = [-1] * n  # child whose subtree realizes the lowpoint, or -1
@@ -152,10 +100,38 @@ def st_numbering(g: Graph, s: int, t: int) -> STNumbering:
                 low_via_back[v] = w
                 low_via_child[v] = -1
         for c in children[v]:
+            if v != t and low[c] >= pre[v]:
+                return None
             if low[c] < low[v]:
                 low[v] = low[c]
                 low_via_back[v] = -1
                 low_via_child[v] = c
+    return parent, children, up_backs, down_backs, low_via_back, low_via_child
+
+
+def is_biconnected(g: Graph) -> bool:
+    """True iff ``g`` is connected, has no cut vertex, and n >= 3."""
+    return bool(g.adj[0]) and _lowpoint_search(g, g.adj[0][0], 0) is not None
+
+
+def st_numbering(g: Graph, s: int, t: int) -> STNumbering:
+    """Compute an st-numbering of a biconnected graph for the edge (s, t).
+
+    Depth-first search from t taking the edge (t, s) first gives lowpoints,
+    which decide biconnectivity; a second pass repeatedly peels a path of
+    unvisited vertices between two visited ones off the structure and splices
+    it into a growing vertex order (the classical linear-time scheme).  Output
+    is deterministic: neighbor lists are scanned in ascending vertex order.
+    Raises ValueError unless (s, t) is an edge, then NotBiconnectedError
+    unless ``g`` is 2-vertex-connected.
+    """
+    if not g.has_edge(s, t):
+        raise ValueError(f"({s}, {t}) is not a graph edge")
+    search = _lowpoint_search(g, s, t)
+    if search is None:
+        raise NotBiconnectedError("st-numbering requires a 2-vertex-connected graph")
+    parent, children, up_backs, down_backs, low_via_back, low_via_child = search
+    n = g.n
 
     # --- path-based ordering ---
     old_vertex = [False] * n
@@ -233,20 +209,34 @@ def st_numbering(g: Graph, s: int, t: int) -> STNumbering:
 
 def validate_st_numbering(g: Graph, num: STNumbering, s: int, t: int) -> bool:
     """Check the three defining conditions of an st-numbering for (s, t)."""
-    n = g.n
-    order = num.order
-    if len(order) != n or sorted(order) != list(range(n)):
+    try:
+        _extreme_neighbors(g, num)
+    except ValueError:
         return False
-    if order[0] != s or order[-1] != t:
-        return False
-    if not g.has_edge(s, t):
-        return False
-    for v in range(n):
-        p = num.position(v)
-        if p == 1 or p == n:
-            continue
-        has_lower = any(num.position(w) < p for w in g.adj[v])
-        has_higher = any(num.position(w) > p for w in g.adj[v])
-        if not (has_lower and has_higher):
-            return False
-    return True
+    return num.order[0] == s and num.order[-1] == t and g.has_edge(s, t)
+
+
+def _extreme_neighbors(g: Graph, num: STNumbering) -> tuple[list[int], list[int]]:
+    """Per vertex, the neighbor with the lowest and the highest position.
+
+    Raises ValueError unless ``num`` orders the vertices of ``g``, every
+    vertex but the first has a neighbor below it and every vertex but the
+    last has one above it, as in an st-numbering: the walk's stages drop
+    vertices down and restore them up along these neighbors.  An isolated
+    vertex counts as its own lowest and highest neighbor, so it fails
+    whichever of the two tests applies to it.
+    """
+    if num.n != g.n:
+        raise ValueError(f"numbering has {num.n} vertices, graph has {g.n}")
+    pos = num.positions
+    first, last = num.order[0], num.order[-1]
+    lo = [0] * g.n
+    hi = [0] * g.n
+    for v, nbrs in enumerate(g.adj):
+        lo[v] = min(nbrs, key=pos.__getitem__, default=v)
+        hi[v] = max(nbrs, key=pos.__getitem__, default=v)
+        if v != first and pos[lo[v]] >= pos[v]:
+            raise ValueError(f"not an st-numbering: vertex {v} has no lower-positioned neighbor")
+        if v != last and pos[hi[v]] <= pos[v]:
+            raise ValueError(f"not an st-numbering: vertex {v} has no higher-positioned neighbor")
+    return lo, hi

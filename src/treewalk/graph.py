@@ -59,9 +59,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return _norm(u, v) in self.edges
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
-
 
 @dataclass(frozen=True)
 class RootedSpanningTree:
@@ -103,9 +100,6 @@ class RootedSpanningTree:
     @property
     def n(self) -> int:
         return len(self.parents)
-
-    def parent_of(self, v: int) -> int:
-        return self.parents[v]
 
     def to_parent_map(self) -> dict[int, int]:
         return {v: p for v, p in enumerate(self.parents) if v != self.root}
@@ -288,6 +282,8 @@ def tree_from_edges(n: int, edge_list: Iterable[tuple[int, int]], root: int) -> 
     linear; in sorted edge order few edges wait at all.  ``n - 1`` edges
     that reach every vertex form a spanning tree.
     """
+    if not 0 <= root < n:
+        raise ValueError(f"root {root} out of range for {n} vertices")
     edges = list(edge_list)
     if len(edges) != n - 1:
         raise ValueError(f"expected {n - 1} edges, got {len(edges)}")

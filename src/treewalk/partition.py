@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 
-from .connectivity import NotBiconnectedError, is_biconnected, st_numbering
+from .connectivity import NotBiconnectedError, st_numbering
 from .graph import Graph
 
 log = logging.getLogger(__name__)
@@ -55,11 +55,13 @@ def _partition2_impl(g: Graph, u1: int, u2: int, n1: int) -> tuple[set[int], set
     if g.has_edge(u1, u2):
         num = st_numbering(g, u1, u2)
         return set(num.order[:n1]), set(num.order[n1:]), "direct-edge"
+    if not g.adj[u1]:
+        raise NotBiconnectedError(f"anchor {u1} has no neighbor")
     num = st_numbering(g, u1, min(g.adj[u1]))
-    if num.position(u2) > n1:
+    if num.positions[u2] > n1:
         return set(num.order[:n1]), set(num.order[n1:]), "from-first-anchor"
     num = st_numbering(g, u2, min(g.adj[u2]))
-    if num.position(u1) > n - n1:
+    if num.positions[u1] > n - n1:
         return set(num.order[n - n1:]), set(num.order[:n - n1]), "from-second-anchor"
     # Always succeeds: number the graph plus a virtual (u1, u2) edge.  The
     # prefix/suffix connectivity argument only uses edges at interior
@@ -80,8 +82,6 @@ def partition2_with_strategy(
     g: Graph, u1: int, u2: int, n1: int
 ) -> tuple[set[int], set[int], str]:
     """Same as :func:`partition2` but also reports which strategy produced it."""
-    if not is_biconnected(g):
-        raise NotBiconnectedError("partition2 requires a 2-vertex-connected graph")
     if u1 == u2:
         raise ValueError("anchors must be distinct")
     if not (0 <= u1 < g.n and 0 <= u2 < g.n):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Iterator
 
-from .connectivity import NotBiconnectedError, STNumbering, is_biconnected, st_numbering
+from .connectivity import STNumbering, _extreme_neighbors, st_numbering
 from .graph import (
     Graph,
     GraphFormatError,
@@ -120,113 +120,23 @@ class WalkTrees(Sequence):
 _unchecked = tuple.__new__
 
 
-def _extreme_neighbors(g: Graph, num: STNumbering) -> tuple[list[int], list[int]]:
-    """Per vertex, the neighbor with the lowest and the highest position.
-
-    Raises ValueError unless every vertex but the first has a neighbor below
-    it and every vertex but the last has one above it, as in an st-numbering:
-    the stages drop vertices down and restore them up along these neighbors.
-    """
-    pos = num.positions
-    first, last = num.order[0], num.order[-1]
-    lo = [0] * g.n
-    hi = [0] * g.n
-    for v in range(g.n):
-        nbrs = g.adj[v]
-        lo[v] = min(nbrs, key=pos.__getitem__)
-        hi[v] = max(nbrs, key=pos.__getitem__)
-        if v != first and pos[lo[v]] > pos[v]:
-            raise ValueError(f"not an st-numbering: vertex {v} has no lower-positioned neighbor")
-        if v != last and pos[hi[v]] < pos[v]:
-            raise ValueError(f"not an st-numbering: vertex {v} has no higher-positioned neighbor")
-    return lo, hi
-
-
-def _milestone_parents(
-    g: Graph,
-    num: STNumbering,
-    inside: set[int],
-    target_parents: tuple[int, ...],
-    hi: list[int],
-) -> list[int]:
-    """Parent array of the stage tree for ``inside``, given the highest-neighbor table."""
-    root = num.order[0]
-    last = num.order[-1]
-    parents = [-1] * g.n
-    for v in range(g.n):
-        if v == root:
-            continue
-        if v in inside:
-            parents[v] = target_parents[v]
-        else:
-            parents[v] = root if v == last else hi[v]
-    return parents
-
-
-def _checked_tree(g: Graph, root: int, parents: list[int], what: str) -> RootedSpanningTree:
-    result = RootedSpanningTree(root, tuple(parents))
-    problem = spanning_tree_violation(g, result)
-    if problem is not None:
-        raise AssertionError(f"{what} is not a spanning tree: {problem}")
-    return result
-
-
 def canonical_tree(g: Graph, num: STNumbering) -> RootedSpanningTree:
     """Last vertex hangs from the first; everyone else from their highest-positioned neighbor."""
+    return _canonical(g, num)[0]
+
+
+def _canonical(g: Graph, num: STNumbering) -> tuple[RootedSpanningTree, tuple[list[int], list[int]]]:
+    """The canonical tree and the extreme-neighbor tables it is read from."""
+    ext = _extreme_neighbors(g, num)
     root = num.order[0]
-    _, hi = _extreme_neighbors(g, num)
-    return _checked_tree(g, root, _milestone_parents(g, num, {root}, (), hi), "canonical tree")
-
-
-def milestone_tree(
-    g: Graph, num: STNumbering, members: Iterable[int], t_prime: RootedSpanningTree
-) -> RootedSpanningTree:
-    """The stage tree: target structure on ``members``, canonical attachment outside."""
-    root = num.order[0]
-    inside = set(members)
-    if root not in inside:
-        raise ValueError("member set must contain the root")
-    _, hi = _extreme_neighbors(g, num)
-    parents = _milestone_parents(g, num, inside, t_prime.parents, hi)
-    return _checked_tree(g, root, parents, "milestone tree")
-
-
-def select_boundary_edge(
-    t_prime: RootedSpanningTree, members: Iterable[int], num: STNumbering
-) -> tuple[int, int]:
-    """Pick the target-tree edge leaving ``members`` whose outside end sits highest.
-
-    Returns (anchor, newcomer): anchor inside, newcomer outside.  The member
-    set must induce a connected subtree of the target containing the root,
-    which makes the anchor for the chosen newcomer unique.
-    """
-    inside = set(members)
-    root = t_prime.root
-    if root not in inside:
-        raise ValueError("member set must contain the root")
-    for v in inside:
-        if v != root and t_prime.parents[v] not in inside:
-            raise ValueError(f"member set is not connected in the target tree (vertex {v})")
-    best_newcomer = -1
-    best_anchor = -1
-    for v in range(t_prime.n):
-        if v == root:
-            continue
-        p = t_prime.parents[v]
-        if p in inside and v not in inside:
-            anchor, newcomer = p, v
-        elif v in inside and p not in inside:
-            anchor, newcomer = v, p
-        else:
-            continue
-        if best_newcomer >= 0 and newcomer == best_newcomer:
-            raise AssertionError(f"two boundary edges share outside vertex {newcomer}")
-        if best_newcomer < 0 or num.position(newcomer) > num.position(best_newcomer):
-            best_newcomer = newcomer
-            best_anchor = anchor
-    if best_newcomer < 0:
-        raise ValueError("no boundary edge: member set already spans the tree")
-    return best_anchor, best_newcomer
+    parents = list(ext[1])
+    parents[num.order[-1]] = root
+    parents[root] = -1
+    tree = RootedSpanningTree(root, tuple(parents))
+    problem = spanning_tree_violation(g, tree)
+    if problem is not None:
+        raise AssertionError(f"canonical tree is not a spanning tree: {problem}")
+    return tree, ext
 
 
 def _advance_stage(
@@ -263,35 +173,6 @@ def _advance_stage(
             moves.append(_unchecked(LeafMove, (v, old_parent, new_parent)))
 
 
-def gap_sequence(
-    t_k: RootedSpanningTree,
-    members: Iterable[int],
-    t_prime: RootedSpanningTree,
-    num: STNumbering,
-    g: Graph,
-) -> tuple[list[LeafMove], RootedSpanningTree]:
-    """Advance one stage: from the tree for ``members`` to the tree for members + newcomer.
-
-    The per-stage reference for :func:`walk_from_canonical`: the newcomer is
-    the one :func:`select_boundary_edge` picks, the dropped vertices come
-    from a scan of the numbering, and the result is checked against a fresh
-    :func:`milestone_tree` parent array.  See :func:`_advance_stage` for the
-    moves.
-    """
-    anchor, newcomer = select_boundary_edge(t_prime, members, num)
-    inside = set(members)
-    pos = num.positions
-    dropped = [v for v in num.order if v not in inside and pos[v] < pos[newcomer]]
-    ext = _extreme_neighbors(g, num)
-    parents = list(t_k.parents)
-    moves: list[LeafMove] = []
-    _advance_stage(parents, _child_counts(parents), dropped, newcomer, anchor, ext, moves)
-    inside.add(newcomer)
-    if parents != _milestone_parents(g, num, inside, t_prime.parents, ext[1]):
-        raise AssertionError(f"stage absorbing {newcomer} missed its milestone tree")
-    return moves, RootedSpanningTree(t_k.root, tuple(parents))
-
-
 def walk_from_canonical(
     g: Graph, num: STNumbering, t_prime: RootedSpanningTree
 ) -> WalkSequence:
@@ -301,13 +182,14 @@ def walk_from_canonical(
     O(its moves + log n).  The absorbed set stays connected in ``t_prime``
     and contains the root, so the target-tree edges leaving it are exactly
     those to the target children of absorbed vertices; a heap of those
-    children keyed by descending position yields the newcomer that
-    :func:`select_boundary_edge` picks.  The vertices not yet absorbed are
-    kept in ascending positions, so the dropped vertices of a stage are the
-    ones before its newcomer.  Each stage ends with an exact comparison
-    against the milestone parent array, which differs from the previous
-    milestone only at the newcomer.  Raises ValueError unless ``t_prime``
-    is a spanning tree of ``g`` rooted at the numbering's first vertex.
+    children keyed by descending position yields the newcomer, the
+    highest-positioned outside end of such an edge.  The vertices not yet
+    absorbed are kept in ascending positions, so the dropped vertices of a
+    stage are the ones before its newcomer.  Each stage ends with an exact
+    comparison against the milestone parent array, which differs from the
+    previous milestone only at the newcomer.  Raises ValueError unless
+    ``num`` is an st-numbering of ``g`` and ``t_prime`` is a spanning tree
+    of ``g`` rooted at the numbering's first vertex.
     """
     root = num.order[0]
     if t_prime.root != root:
@@ -315,11 +197,10 @@ def walk_from_canonical(
     problem = spanning_tree_violation(g, t_prime)
     if problem is not None:
         raise ValueError(f"target tree invalid: {problem}")
-    start = canonical_tree(g, num)
+    start, ext = _canonical(g, num)
     if t_prime == start:
         return WalkSequence(start, ())
     n = g.n
-    ext = _extreme_neighbors(g, num)
     pos = num.positions
     target = t_prime.parents
     children: list[list[int]] = [[] for _ in range(n)]
@@ -367,8 +248,6 @@ def walk(
             raise ValueError(f"{name} tree invalid: {problem}")
     if t == t_prime:
         return WalkSequence(t, ())
-    if not is_biconnected(g):
-        raise NotBiconnectedError("walks require a 2-vertex-connected graph")
     mate = min(g.adj[a])
     num = st_numbering(g, a, mate)
     back = walk_from_canonical(g, num, t).moves

@@ -129,6 +129,15 @@ def test_oracle_diameter(tmp_path, capsys):
     assert capsys.readouterr().out == "2\n"
 
 
+def test_oracle_diameter_root_out_of_range(tmp_path, capsys):
+    g = _write(tmp_path, "g.txt", TRI_TEXT)
+    for root in ("99", "-1"):
+        assert main(["oracle", "diameter", "--graph", g, "--root", root]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: root {root} out of range for 3 vertices\n"
+
+
 def test_oracle_count(tmp_path, capsys):
     g = _write(tmp_path, "g.txt", TRI_TEXT)
     assert main(["oracle", "count", "--graph", g]) == 0

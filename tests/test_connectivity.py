@@ -117,6 +117,12 @@ def test_validator_frozen_cases():
     assert not validate_st_numbering(graphs.C4, ok, 0, 2)
 
 
+def test_validator_rejects_a_numbering_of_the_wrong_size():
+    # Both orders would pass on the vertices K4 has.
+    assert not validate_st_numbering(graphs.K4, STNumbering((0, 1, 2)), 0, 2)
+    assert not validate_st_numbering(graphs.K4, STNumbering((0, 1, 4, 2, 3)), 0, 3)
+
+
 def _valid_by_definition(g: Graph, order: tuple[int, ...], s: int, t: int) -> bool:
     if order[0] != s or order[-1] != t or not g.has_edge(s, t):
         return False
@@ -151,8 +157,7 @@ def test_random_graphs_pass_validation():
 def test_positions_table_matches_order():
     num = STNumbering((2, 0, 3, 1))
     assert num.positions == (2, 4, 1, 3)
-    assert [num.vertex_at(i) for i in (1, 2, 3, 4)] == [2, 0, 3, 1]
-    assert num.position(3) == 3
+    assert num.order == (2, 0, 3, 1)
     with pytest.raises(ValueError):
         STNumbering((0, 0, 1))
 

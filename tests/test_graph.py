@@ -32,8 +32,8 @@ def test_graph_normalizes_edges_and_sorts_adjacency():
     assert (0, 3) in g.edges
     assert g.has_edge(3, 0) and g.has_edge(0, 3)
     assert not g.has_edge(0, 2)
-    assert g.neighbors(0) == (1, 3)
-    assert g.neighbors(1) == (0, 2)
+    assert g.adj[0] == (1, 3)
+    assert g.adj[1] == (0, 2)
 
 
 def test_graph_rejects_bad_edges():
@@ -50,7 +50,7 @@ def test_graph_rejects_bad_edges():
 def test_tree_shape_validation():
     t = RootedSpanningTree(0, (-1, 0, 1))
     assert t.n == 3
-    assert t.parent_of(2) == 1
+    assert t.parents[2] == 1
     assert t.to_parent_map() == {1: 0, 2: 1}
     assert t.edges() == frozenset({(0, 1), (1, 2)})
     assert t.is_leaf(2) and not t.is_leaf(1)
@@ -90,6 +90,12 @@ def test_spanning_tree_violation_cases():
 
     small = tree_from_edges(3, [(0, 1), (1, 2)], root=0)
     assert "vertex count mismatch" in spanning_tree_violation(g, small)
+
+
+def test_tree_from_edges_rejects_a_root_out_of_range():
+    for root in (99, -1, 3):
+        with pytest.raises(ValueError, match=f"root {root} out of range for 3 vertices"):
+            tree_from_edges(3, [(0, 1), (1, 2)], root=root)
 
 
 def test_tree_from_edges_rejects_non_trees():

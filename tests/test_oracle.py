@@ -201,6 +201,14 @@ def test_long_cycle_packs_parents_wider_than_a_byte():
     assert tree_graph_diameter(cycle, 0) == n - 1
 
 
+def test_oracle_roots_out_of_range_are_rejected():
+    for root in (99, -1):
+        with pytest.raises(ValueError, match=f"root {root} out of range for 3 vertices"):
+            enumerate_spanning_trees(graphs.TRIANGLE, root=root)
+        with pytest.raises(ValueError, match=f"root {root} out of range for 3 vertices"):
+            tree_graph_diameter(graphs.TRIANGLE, root)
+
+
 def test_diameter_of_single_tree_graph_is_zero():
     assert tree_graph_diameter(graphs.PATH3, 0) == 0
 

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from treewalk import (
+    Graph,
     NotBiconnectedError,
     partition2,
     partition2_with_strategy,
@@ -77,6 +78,21 @@ def test_rejects_bad_inputs():
         partition2(graphs.C4, 0, 2, 0)
     with pytest.raises(ValueError, match="n1 must be in"):
         partition2(graphs.C4, 0, 2, 4)
+
+
+def test_anchor_errors_come_before_the_connectivity_error():
+    with pytest.raises(ValueError, match="distinct"):
+        partition2(graphs.PATH3, 1, 1, 1)
+    with pytest.raises(ValueError, match="out of range"):
+        partition2(graphs.PATH3, 0, 9, 1)
+
+
+def test_isolated_anchor_is_not_biconnected():
+    g = Graph.from_edges(4, [(1, 2), (2, 3), (1, 3)])
+    with pytest.raises(NotBiconnectedError, match="anchor 0 has no neighbor"):
+        partition2(g, 0, 2, 1)
+    with pytest.raises(NotBiconnectedError):
+        partition2(g, 2, 0, 1)
 
 
 def test_validator_rejections():

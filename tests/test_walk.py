@@ -32,9 +32,8 @@ from treewalk import (
     walk_from_canonical,
 )
 from treewalk.graph import GraphFormatError
-from treewalk.walk import gap_sequence, milestone_tree, select_boundary_edge
-
 import graphs
+from stages import gap_sequence, milestone_tree, select_boundary_edge
 
 TRI_NUM = STNumbering((0, 1, 2))
 TRI_TARGET = RootedSpanningTree(0, (-1, 0, 1))  # path 0-1-2
@@ -164,21 +163,30 @@ def test_walk_from_canonical_rejects_a_non_st_numbering():
         gap_sequence(start, {0}, target, bad, graphs.C4)
 
 
-def test_gap_sequence_milestone_check_survives_optimized_mode():
-    # ``python -O`` strips assert statements; the stage's certifying checks
-    # must still raise there.  The corrupt stage tree (a star, which C4 does
-    # not contain) passes every leaf claim but misses the milestone for {0, 1},
+def test_numbering_of_the_wrong_size_is_rejected():
+    target = tree_from_edges(4, [(0, 1), (1, 2), (2, 3)], root=0)
+    for order, size in (((0, 1, 2), 3), ((0, 1, 2, 3, 4), 5)):
+        message = f"numbering has {size} vertices, graph has 4"
+        with pytest.raises(ValueError, match=message):
+            canonical_tree(graphs.C4, STNumbering(order))
+        with pytest.raises(ValueError, match=message):
+            walk_from_canonical(graphs.C4, STNumbering(order), target)
+
+
+def test_walk_from_canonical_milestone_check_survives_optimized_mode():
+    # ``python -O`` strips assert statements; the walk's certifying checks
+    # must still raise there.  A stage patched to move nothing leaves vertex 1
+    # on its canonical parent 2, which misses the first milestone (1 under 0),
     # and a numbering that is not an st-numbering is rejected up front.
     code = (
         "import sys\n"
         "from treewalk import Graph, RootedSpanningTree, STNumbering, walk_from_canonical\n"
-        "from treewalk.walk import gap_sequence\n"
         "print(sys.flags.optimize)\n"
         "g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])\n"
-        "corrupt = RootedSpanningTree(0, (-1, 0, 0, 0))\n"
         "target = RootedSpanningTree(0, (-1, 0, 1, 2))\n"
+        "sys.modules['treewalk.walk']._advance_stage = lambda *args: None\n"
         "try:\n"
-        "    gap_sequence(corrupt, {0}, target, STNumbering((0, 1, 2, 3)), g)\n"
+        "    walk_from_canonical(g, STNumbering((0, 1, 2, 3)), target)\n"
         "except AssertionError as exc:\n"
         "    print('raised:', exc)\n"
         "try:\n"
@@ -203,6 +211,26 @@ def test_no_assert_statements_in_the_package():
         tree = ast.parse(module.read_text())
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"{module.name} uses assert at lines {lines}"
+
+
+def test_every_module_level_name_is_public_or_used_in_the_package():
+    # Code that only tests call belongs in tests/, not in the package.
+    package = Path(treewalk.__file__).parent
+    trees = {module.name: ast.parse(module.read_text()) for module in package.glob("*.py")}
+    used = set(treewalk.__all__)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = [
+        f"{name}:{node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used
+    ]
+    assert not unused, f"neither in treewalk.__all__ nor used in src/treewalk: {unused}"
 
 
 def test_walk_from_canonical_triangle():

@@ -23,7 +23,7 @@ from treewalk import (  # noqa: E402
     walk,
     walk_from_canonical,
 )
-from treewalk.walk import gap_sequence, select_boundary_edge  # noqa: E402
+from stages import gap_sequence, select_boundary_edge  # noqa: E402
 
 # Derandomized so the suite sees the same examples on every run.
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
