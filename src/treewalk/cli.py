@@ -92,7 +92,9 @@ def _cmd_walk(args) -> int:
 def _cmd_verify(args) -> int:
     g = _load_graph(args.graph)
     seq = parse_walk_moves(_read(args.walk))
-    report = verify_walk(g, seq.source.root, seq)
+    source = _load_tree(args.from_tree) if args.from_tree else None
+    target = _load_tree(args.to_tree) if args.to_tree else None
+    report = verify_walk(g, seq.source.root, seq, source=source, target=target)
     print(report.summary())
     return 0 if report.ok else 2
 
@@ -188,6 +190,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify", help="re-check a walk given as a moves stream")
     p.add_argument("--graph", required=True)
     p.add_argument("walk", help="moves-format file, or - for stdin")
+    p.add_argument("--from", dest="from_tree", metavar="TREE", help="declared first tree")
+    p.add_argument("--to", dest="to_tree", metavar="TREE", help="declared last tree")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("gen-gk", help="write the k-th lower-bound instance to a directory")

@@ -32,7 +32,7 @@ from .graph import (
     spanning_tree_violation,
     tree_from_edges,
 )
-from .walk import WalkSequence
+from .walk import WalkSequence, _rehangs
 
 DEFAULT_CAP = 10_000_000
 
@@ -75,6 +75,8 @@ def enumerate_spanning_trees(
     unless the chosen edges plus the later ones still connect the graph.
     """
     n = g.n
+    if not 0 <= root < n:
+        raise ValueError(f"root {root} out of range for {n} vertices")
     edges = sorted(g.edges)
     m = len(edges)
     result: list[RootedSpanningTree] = []
@@ -331,10 +333,13 @@ def tree_graph_diameter(g: Graph, a: int, cap: int = DEFAULT_CAP) -> int:
     """Largest pairwise leaf-move distance among all spanning trees rooted at ``a``.
 
     The trees are enumerated once and numbered; each tree's neighbors become
-    a list of numbers, and one BFS per tree runs over those lists.
+    a list of numbers, and one BFS per tree runs over those lists.  Raises
+    ValueError when ``g`` has no spanning tree.
     """
     space = _PackedTrees(g, a)
     keys = [space.pack(t) for t in enumerate_spanning_trees(g, root=a, cap=cap)]
+    if not keys:
+        raise ValueError("graph is disconnected: it has no spanning tree")
     index = {key: i for i, key in enumerate(keys)}
     adjacent = [[index[nxt] for nxt in space.neighbors(key)] for key in keys]
     total = len(keys)
@@ -388,12 +393,11 @@ def removal_times(seq: WalkSequence, probes: Sequence[tuple[int, int]]) -> WalkA
     norm_probes = tuple((u, v) if u < v else (v, u) for u, v in probes)
     first: dict[tuple[int, int], int | None] = dict.fromkeys(norm_probes)
     parents = list(seq.source.parents)
-    for step, mv in enumerate(seq.moves, start=1):
-        v = mv.vertex
+    for step, (v, new) in enumerate(_rehangs(seq), start=1):
         p = parents[v]
-        parents[v] = mv.new_parent
+        parents[v] = new
         # The edge {v, p} survives if it was also held the other way round.
-        if p != mv.new_parent and parents[p] != v:
+        if p != new and parents[p] != v:
             e = (v, p) if v < p else (p, v)
             if e in first and first[e] is None:
                 first[e] = step

@@ -15,9 +15,12 @@ concatenated with another, so its length is at most 2n(n-1) moves.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from heapq import heapify, heappop, heappush
+from operator import eq
 from typing import Iterable, Iterator
 
 from .connectivity import STNumbering, _extreme_neighbors, st_numbering
@@ -48,24 +51,50 @@ class LeafClaimError(AssertionError):
         super().__init__(f"vertex {vertex} is not a leaf in {parents}")
 
 
-def _replay(source: RootedSpanningTree, moves: Iterable[LeafMove]) -> RootedSpanningTree:
-    parents = list(source.parents)
-    for mv in moves:
-        parents[mv.vertex] = mv.new_parent
-    return RootedSpanningTree(source.root, tuple(parents))
+def _rehangs(seq: WalkSequence, count: int | None = None) -> Iterator[tuple[int, int]]:
+    """(vertex, new parent) of the first ``count`` moves of ``seq``, all of them by default."""
+    flat = seq._flat if count is None else seq._flat[:3 * count]
+    return zip(flat[0::3], flat[2::3])
 
 
-@dataclass(frozen=True)
+def _replay(seq: WalkSequence, count: int | None = None) -> RootedSpanningTree:
+    parents = list(seq.source.parents)
+    for v, new in _rehangs(seq, count):
+        parents[v] = new
+    return RootedSpanningTree(seq.source.root, tuple(parents))
+
+
+def _reversed_moves(flat: array) -> array:
+    """The move store of the reversed walk: the moves backwards, each one undone."""
+    out = flat[::-1]  # each move now reads (new parent, old parent, vertex)
+    out[0::3], out[1::3], out[2::3] = out[2::3], out[0::3], out[1::3]
+    return out
+
+
+@dataclass(frozen=True, init=False)
 class WalkSequence:
     """A walk as its first tree plus its moves; ``moves[i]`` maps tree i to tree i+1.
 
-    The intermediate trees are not stored: :attr:`trees` rebuilds them from
-    the moves on demand, so a walk of L moves on n vertices costs O(n + L)
-    memory rather than O(n L).
+    The moves live in one ``array('i')``, three entries (vertex, old parent,
+    new parent) per move: 12 bytes each, in one object that holds no others,
+    so garbage collection does not slow down as a walk grows.  :attr:`moves`
+    and :attr:`trees` are views that build a move or a tree only when it is
+    read, so a walk of L moves on n vertices costs O(n + L) memory.
     """
 
     source: RootedSpanningTree
-    moves: tuple[LeafMove, ...]
+    _flat: array = field(hash=False)
+
+    def __init__(self, source: RootedSpanningTree, moves: Iterable[LeafMove] | array):
+        """``moves`` are packed once, unless they already are a move store: that is taken over."""
+        if not isinstance(moves, array):
+            moves = array("i", [x for v, old, new in moves for x in (v, old, new)])
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "_flat", moves)
+
+    @property
+    def moves(self) -> WalkMoves:
+        return WalkMoves(self._flat)
 
     @property
     def trees(self) -> WalkTrees:
@@ -73,13 +102,49 @@ class WalkSequence:
 
     @property
     def target(self) -> RootedSpanningTree:
-        return _replay(self.source, self.moves)
+        return _replay(self)
 
     def __len__(self) -> int:
-        return len(self.moves) + 1
+        return len(self._flat) // 3 + 1
 
     def reverse(self) -> WalkSequence:
-        return WalkSequence(self.target, tuple(m.reversed() for m in reversed(self.moves)))
+        return WalkSequence(self.target, _reversed_moves(self._flat))
+
+
+# Reads a stored move back as a LeafMove without the constructor's check:
+# the store gives back what it was given, as a tuple of moves would.
+_as_move = partial(tuple.__new__, LeafMove)
+
+
+class WalkMoves(Sequence):
+    """Read-only view of a walk's moves; its length costs O(1), each ``LeafMove`` is built when read."""
+
+    __slots__ = ("_flat",)
+
+    def __init__(self, flat: array):
+        self._flat = flat
+
+    def __len__(self) -> int:
+        return len(self._flat) // 3
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        i = range(len(self))[i]
+        return _as_move(self._flat[3 * i:3 * i + 3])
+
+    def __iter__(self) -> Iterator[LeafMove]:
+        it = iter(self._flat)
+        return map(_as_move, zip(it, it, it))
+
+    # Equal to another view, or to a tuple, with the same moves, as a tuple of moves was.
+    def __eq__(self, other):
+        if isinstance(other, WalkMoves):
+            return self._flat == other._flat
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
 
 
 class WalkTrees(Sequence):
@@ -91,33 +156,24 @@ class WalkTrees(Sequence):
         self._walk = walk
 
     def __len__(self) -> int:
-        return len(self._walk.moves) + 1
+        return len(self._walk)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return tuple(self)[i]
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError("tree index out of range")
-        return _replay(self._walk.source, self._walk.moves[:i])
+        i = range(len(self))[i]
+        return _replay(self._walk, i)
 
     def __iter__(self) -> Iterator[RootedSpanningTree]:
         source = self._walk.source
         parents = list(source.parents)
         yield source
-        for mv in self._walk.moves:
-            parents[mv.vertex] = mv.new_parent
+        for v, new in _rehangs(self._walk):
+            parents[v] = new
             yield RootedSpanningTree(source.root, tuple(parents))
 
     def __reversed__(self) -> Iterator[RootedSpanningTree]:
         return iter(self._walk.reverse().trees)
-
-
-# Builds a LeafMove without the constructor's check, for moves whose new
-# parent cannot be the moved vertex: a graph neighbor of it, or its parent in
-# a valid parent array.
-_unchecked = tuple.__new__
 
 
 def canonical_tree(g: Graph, num: STNumbering) -> RootedSpanningTree:
@@ -146,7 +202,7 @@ def _advance_stage(
     newcomer: int,
     anchor: int,
     ext: tuple[list[int], list[int]],
-    moves: list[LeafMove],
+    moves: array,
 ) -> None:
     """One stage in place on ``parents``/``kids``: absorb ``newcomer`` below ``anchor``.
 
@@ -155,13 +211,14 @@ def _advance_stage(
     the newcomer attaches to its anchor, then in descending positions the
     dropped vertices return to their highest-positioned neighbors.  The
     last-positioned vertex is never dropped: it follows every other outside
-    vertex, so it can only be the newcomer.  Moves whose new parent equals the
-    current parent are elided from ``moves``.
+    vertex, so it can only be the newcomer.  Moves go to the store ``moves``;
+    those whose new parent equals the current parent are elided.
     """
     lo, hi = ext
     schedule = [(v, lo[v]) for v in dropped]
     schedule.append((newcomer, anchor))
     schedule.extend([(v, hi[v]) for v in reversed(dropped)])
+    append = moves.append
     for v, new_parent in schedule:
         if kids[v]:
             raise LeafClaimError(v, tuple(parents))
@@ -170,7 +227,9 @@ def _advance_stage(
             parents[v] = new_parent
             kids[old_parent] -= 1
             kids[new_parent] += 1
-            moves.append(_unchecked(LeafMove, (v, old_parent, new_parent)))
+            append(v)
+            append(old_parent)
+            append(new_parent)
 
 
 def walk_from_canonical(
@@ -213,7 +272,7 @@ def walk_from_canonical(
     outside = list(num.order[1:])
     boundary = [(-pos[c], c) for c in children[root]]
     heapify(boundary)
-    moves: list[LeafMove] = []
+    moves = array("i")
     while boundary:
         newcomer = heappop(boundary)[1]
         anchor = target[newcomer]
@@ -227,9 +286,10 @@ def walk_from_canonical(
             heappush(boundary, (-pos[c], c))
     if tuple(parents) != target:
         raise AssertionError("canonical walk does not end at the target tree")
-    if len(moves) > n * (n - 1):
-        raise AssertionError(f"canonical walk has {len(moves)} moves, over n(n-1) = {n * (n - 1)}")
-    return WalkSequence(start, tuple(moves))
+    count = len(moves) // 3
+    if count > n * (n - 1):
+        raise AssertionError(f"canonical walk has {count} moves, over n(n-1) = {n * (n - 1)}")
+    return WalkSequence(start, moves)
 
 
 def walk(
@@ -250,11 +310,9 @@ def walk(
         return WalkSequence(t, ())
     mate = min(g.adj[a])
     num = st_numbering(g, a, mate)
-    back = walk_from_canonical(g, num, t).moves
-    undo = tuple([_unchecked(LeafMove, (v, new, old)) for v, old, new in reversed(back)])
-    del back  # free the forward copy of the back half before the second walk
-    forth = walk_from_canonical(g, num, t_prime).moves
-    return WalkSequence(t, undo + forth)
+    moves = _reversed_moves(walk_from_canonical(g, num, t)._flat)
+    moves += walk_from_canonical(g, num, t_prime)._flat
+    return WalkSequence(t, moves)
 
 
 # How many issues :meth:`WalkReport.summary` prints before it only counts them.
@@ -327,10 +385,10 @@ def verify_walk(
         return True
 
     certified = full_check(0, first)
-    for idx, mv in enumerate(seq.moves):
-        v, new = mv.vertex, mv.new_parent
+    it = iter(seq._flat)
+    for idx, (v, claimed, new) in enumerate(zip(it, it, it)):
         if v == root or not (0 <= v < size and 0 <= new < size):
-            issues.append(f"step {idx}: move {v} {mv.old_parent} {new} cannot be applied")
+            issues.append(f"step {idx}: move {v} {claimed} {new} cannot be applied")
             continue
         old = parents[v]
         # Leaf-move adjacency: equal maps, or one rehung vertex childless in both.
@@ -360,7 +418,7 @@ def verify_walk(
             issues.append(f"step {idx}: not adjacent (intersection test)")
         if not move_ok:
             issues.append(f"step {idx}: not adjacent (leaf-move test)")
-        if old != mv.old_parent:
+        if old != claimed:
             issues.append(f"step {idx}: move old parent disagrees with tree")
     source_matches = None if source is None else first == source
     target_matches = (
@@ -375,20 +433,24 @@ def verify_walk(
 
 def format_walk_moves(seq: WalkSequence) -> str:
     """Stream form of a walk: the initial tree, then one ``v old new`` line per move."""
-    parts = [format_tree(seq.source)]
-    parts.extend(f"{m.vertex} {m.old_parent} {m.new_parent}\n" for m in seq.moves)
-    return "".join(parts)
+    flat, step = seq._flat, 3 * 4096  # 4096 moves a chunk bound the temporary tuple of ints
+    chunks = (flat[i:i + step] for i in range(0, len(flat), step))
+    return format_tree(seq.source) + "".join(("%d %d %d\n" * (len(c) // 3)) % tuple(c) for c in chunks)
 
 
 def parse_walk_moves(text: str) -> WalkSequence:
     """Parse the stream form back into a source tree plus moves.
 
     Moves are checked structurally; semantic problems (bad adjacency, stale
-    old-parent fields) are left for :func:`verify_walk` to report.
+    old-parent fields) are left for :func:`verify_walk` to report.  Text not
+    in the writer's exact form, errors included, is read line by line.
     """
+    seq = _parse_bulk(text)
+    if seq is not None:
+        return seq
     source, rest = _read_tree(text, "walk", more_lines=True)
     root, n = source.root, source.n
-    moves: list[LeafMove] = []
+    flat = array("i")
     for lineno, line in rest:
         v, old, new = _parse_ints(lineno, line, 3)
         if v == root:
@@ -396,7 +458,31 @@ def parse_walk_moves(text: str) -> WalkSequence:
         if not (0 <= v < n and 0 <= old < n and 0 <= new < n):
             raise GraphFormatError(f"line {lineno}: vertex out of range in {line!r}")
         try:
-            moves.append(LeafMove(v, old, new))
+            flat.extend(LeafMove(v, old, new))
         except ValueError as exc:
             raise GraphFormatError(f"line {lineno}: {exc}") from None
-    return WalkSequence(source, tuple(moves))
+    return WalkSequence(source, flat)
+
+
+def _parse_bulk(text: str) -> WalkSequence | None:
+    """The walk in ``text`` if :func:`format_walk_moves` could have written it, else None.
+
+    That is, the tree takes the first n lines and every later line is
+    ``v old new`` in plain decimal; then the line reader would read the same.
+    """
+    try:
+        n = int(text[:text.index("\n")].split()[0])
+        *head, block = text.split("\n", n)
+        source = _read_tree("\n".join(head), "walk", more_lines=False)[0]
+        # Only a vertex 0..n-1 written without sign or leading zeros is a key.
+        flat = array("i", map({str(v): v for v in range(n)}.__getitem__, block.split()))
+    except (ValueError, IndexError, KeyError, OverflowError):  # GraphFormatError too
+        return None
+    # With its digits deleted, every move line reads two spaces and a newline.
+    skeleton = block.encode().translate(None, b"0123456789")
+    vs, news = flat[0::3], flat[2::3]
+    if skeleton != b"  \n" * len(vs) or len(flat) != 3 * len(vs):
+        return None
+    if source.root in vs or any(map(eq, vs, news)):
+        return None
+    return WalkSequence(source, flat)

@@ -10,12 +10,13 @@ too.  ``walk_from_canonical`` must emit exactly the concatenated moves.
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterable
 
 from treewalk import Graph, LeafMove, RootedSpanningTree, STNumbering, spanning_tree_violation
 from treewalk.connectivity import _extreme_neighbors
 from treewalk.graph import _child_counts
-from treewalk.walk import _advance_stage
+from treewalk.walk import WalkMoves, _advance_stage
 
 
 def _milestone_parents(
@@ -117,9 +118,9 @@ def gap_sequence(
     dropped = [v for v in num.order if v not in inside and pos[v] < pos[newcomer]]
     ext = _extreme_neighbors(g, num)
     parents = list(t_k.parents)
-    moves: list[LeafMove] = []
-    _advance_stage(parents, _child_counts(parents), dropped, newcomer, anchor, ext, moves)
+    flat = array("i")
+    _advance_stage(parents, _child_counts(parents), dropped, newcomer, anchor, ext, flat)
     inside.add(newcomer)
     if parents != _milestone_parents(g, num, inside, t_prime.parents, ext[1]):
         raise AssertionError(f"stage absorbing {newcomer} missed its milestone tree")
-    return moves, RootedSpanningTree(t_k.root, tuple(parents))
+    return list(WalkMoves(flat)), RootedSpanningTree(t_k.root, tuple(parents))

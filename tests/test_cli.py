@@ -55,6 +55,30 @@ def test_walk_then_verify_round_trip(tmp_path, capsys):
     assert out.rstrip().endswith("result: PASS")
 
 
+def test_verify_checks_declared_endpoints(tmp_path, capsys):
+    g = _write(tmp_path, "g.txt", TRI_TEXT)
+    a = _write(tmp_path, "a.txt", format_tree(STAR))
+    b = _write(tmp_path, "b.txt", format_tree(PATH))
+    w = _write(tmp_path, "w.txt", format_walk_moves(walk(graphs.TRIANGLE, 0, STAR, PATH)))
+    assert main(["verify", "--graph", g, w]) == 0
+    plain = capsys.readouterr().out
+    assert plain == "trees: 4\nmoves: 3\nresult: PASS\n"
+    assert main(["verify", "--graph", g, w, "--from", a, "--to", b]) == 0
+    assert capsys.readouterr().out == (
+        "trees: 4\nmoves: 3\nsource endpoint: ok\ntarget endpoint: ok\nresult: PASS\n"
+    )
+    assert main(["verify", "--graph", g, w, "--to", b]) == 0
+    assert capsys.readouterr().out == "trees: 4\nmoves: 3\ntarget endpoint: ok\nresult: PASS\n"
+    # the endpoints swapped: both mismatch, and the walk fails
+    assert main(["verify", "--graph", g, w, "--from", b, "--to", a]) == 2
+    assert capsys.readouterr().out == (
+        "trees: 4\nmoves: 3\nsource endpoint: MISMATCH\ntarget endpoint: MISMATCH\n"
+        "endpoint mismatch: first tree differs from declared source\n"
+        "endpoint mismatch: last tree differs from declared target\n"
+        "result: FAIL\n"
+    )
+
+
 def test_walk_tree_format(tmp_path, capsys):
     g = _write(tmp_path, "g.txt", TRI_TEXT)
     a = _write(tmp_path, "a.txt", format_tree(STAR))
@@ -142,6 +166,18 @@ def test_oracle_count(tmp_path, capsys):
     g = _write(tmp_path, "g.txt", TRI_TEXT)
     assert main(["oracle", "count", "--graph", g]) == 0
     assert capsys.readouterr().out == "3 3\n"
+
+
+def test_oracle_diameter_of_a_disconnected_graph(tmp_path, capsys):
+    g = _write(tmp_path, "g.txt", "4 2\n0 1\n2 3\n")
+    for root, message in (
+        ("0", "graph is disconnected: it has no spanning tree"),
+        ("99", "root 99 out of range for 4 vertices"),
+    ):
+        assert main(["oracle", "diameter", "--graph", g, "--root", root]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 def test_cap_flag_exceeded(tmp_path, capsys):

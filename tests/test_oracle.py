@@ -209,6 +209,22 @@ def test_oracle_roots_out_of_range_are_rejected():
             tree_graph_diameter(graphs.TRIANGLE, root)
 
 
+def test_oracle_rejects_a_root_out_of_range_on_a_graph_without_spanning_trees():
+    split = Graph.from_edges(4, [(0, 1), (2, 3)])
+    assert enumerate_spanning_trees(split, root=0) == []
+    for root in (99, -1):
+        with pytest.raises(ValueError, match=f"root {root} out of range for 4 vertices"):
+            enumerate_spanning_trees(split, root=root)
+        with pytest.raises(ValueError, match=f"root {root} out of range for 4 vertices"):
+            tree_graph_diameter(split, root)
+
+
+def test_diameter_of_a_graph_without_spanning_trees_is_an_error():
+    split = Graph.from_edges(4, [(0, 1), (2, 3)])
+    with pytest.raises(ValueError, match="graph is disconnected: it has no spanning tree"):
+        tree_graph_diameter(split, 0)
+
+
 def test_diameter_of_single_tree_graph_is_zero():
     assert tree_graph_diameter(graphs.PATH3, 0) == 0
 

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import ast
+import gc
 import os
 import random
 import subprocess
 import sys
+from array import array
+from collections.abc import Sequence
 from pathlib import Path
 
 import pytest
@@ -449,3 +452,104 @@ def test_parse_walk_moves_errors():
     # structurally fine but semantically wrong: verify reports, parse accepts
     seq = parse_walk_moves("3 0\n1 0\n2 0\n2 9 1\n".replace("9", "0"))
     assert len(seq.trees) == 2
+
+
+def test_walk_moves_are_a_read_only_view():
+    seq = walk_from_canonical(graphs.TRIANGLE, TRI_NUM, TRI_TARGET)
+    moves = seq.moves
+    assert isinstance(moves, Sequence) and not isinstance(moves, tuple)
+    assert len(moves) == 2
+    assert list(moves) == [LeafMove(1, 2, 0), LeafMove(2, 0, 1)]
+    assert moves[-1] == moves[1] == LeafMove(2, 0, 1)
+    assert type(moves[0]) is LeafMove and moves[0].new_parent == 0
+    assert moves[::-1] == (LeafMove(2, 0, 1), LeafMove(1, 2, 0))
+    assert moves[5:] == ()
+    assert LeafMove(2, 0, 1) in moves and moves.index(LeafMove(2, 0, 1)) == 1
+    for i in (2, -3):
+        with pytest.raises(IndexError):
+            moves[i]
+    with pytest.raises(AttributeError):
+        seq.moves = ()
+
+
+def test_walk_moves_compare_like_a_tuple_of_moves():
+    seq = walk_from_canonical(graphs.TRIANGLE, TRI_NUM, TRI_TARGET)
+    as_tuple = (LeafMove(1, 2, 0), LeafMove(2, 0, 1))
+    assert seq.moves == seq.moves == as_tuple == seq.moves and hash(seq.moves) == hash(as_tuple)
+    assert seq.moves == walk_from_canonical(graphs.TRIANGLE, TRI_NUM, TRI_TARGET).moves
+    assert seq.moves != seq.reverse().moves and seq.moves != as_tuple[:1]
+    # a tuple of moves never equalled a list, and the view does not either
+    assert seq.moves != list(as_tuple) and not seq.moves == list(as_tuple)
+
+
+def test_walk_sequence_packs_the_moves_it_is_given():
+    seq = walk_from_canonical(graphs.TRIANGLE, TRI_NUM, TRI_TARGET)
+    packed = WalkSequence(seq.source, [LeafMove(1, 2, 0), (2, 0, 1)])
+    assert packed == seq and hash(packed) == hash(seq)
+    assert packed != WalkSequence(seq.source, [LeafMove(1, 2, 0)])
+    assert WalkSequence(seq.source, iter(seq.moves)) == seq
+    store = array("i", [1, 2, 0, 2, 0, 1])
+    assert WalkSequence(seq.source, store) == seq and WalkSequence(seq.source, store)._flat is store
+
+
+def test_walk_store_holds_no_per_move_objects():
+    rng = random.Random(3)
+    g = random_biconnected_graph(128, rng)
+    t1, t2 = random_spanning_tree(g, 0, rng), random_spanning_tree(g, 0, rng)
+    gc.collect()
+    before = len(gc.get_objects())
+    seq = walk(g, 0, t1, t2)
+    gc.collect()
+    added = len(gc.get_objects()) - before
+    assert len(seq.moves) >= 10_000
+    assert added < 1_000
+    # The store is one object that refers to nothing but its type, so the
+    # collector's pass over it costs O(1) however many moves it holds.
+    assert gc.get_referents(seq._flat) == [type(seq._flat)]
+    assert verify_walk(g, 0, seq, source=t1, target=t2).ok
+
+
+# Inputs and the exact messages of the line-by-line reader, as it reported them
+# before the move store existed.
+PARSE_ERRORS = [
+    ("", "empty walk description"),
+    ("# only a comment\n\n", "empty walk description"),
+    ("2 7\n1 0\n", "line 1: root 7 out of range for n=2"),
+    ("3 0\n1 0\n", "expected 2 parent lines, found 1"),
+    ("3 0\n1 0\n1 0\n2 0 1\n", "line 3: duplicate parent entry for vertex 1"),
+    ("3 0\n1 0\n2 0 1\n2 0 1\n", "line 3: expected 2 integers, got '2 0 1'"),
+    ("3 0\n1 0\n2 0\n0 1 2\n", "line 4: move targets the root vertex 0"),
+    ("3 0\n1 0\n2 0\n2 0 7\n", "line 4: vertex out of range in '2 0 7'"),
+    ("3 0\n1 0\n2 0\n2 -1 1\n", "line 4: vertex out of range in '2 -1 1'"),
+    ("3 0\n1 0\n2 0\n2 0 99999999999\n", "line 4: vertex out of range in '2 0 99999999999'"),
+    ("3 0\n1 0\n2 0\n2 0 2\n", "line 4: vertex 2 cannot become its own parent"),
+    ("3 0\n1 0\n2 0\n2 0\n", "line 4: expected 3 integers, got '2 0'"),
+    ("3 0\n1 0\n2 0\n2 0 1 1\n", "line 4: expected 3 integers, got '2 0 1 1'"),
+    ("3 0\n1 0\n2 0\n2 x 1\n", "line 4: expected 3 integers, got '2 x 1'"),
+    ("3 0\n1 0\n2 0\n2  1\n", "line 4: expected 3 integers, got '2  1'"),
+    ("3 0\n1 0\n2 0\n2 0 1\n 1 0\n", "line 5: expected 3 integers, got '1 0'"),
+    ("3 0\n1 0\n2 0\n2 0 1\n1 0 2\n2 1 0\n1 2 1\n", "line 7: vertex 1 cannot become its own parent"),
+    ("3 0\n1 0\n2 0\n2 0 1\n\n# note\n2 1 0 9\n", "line 7: expected 3 integers, got '2 1 0 9'"),
+    ("3 0\n1 0\n2 0\n2 0 1\n2 1 0\n2 0 +\n", "line 6: expected 3 integers, got '2 0 +'"),
+    ("3 0\n1 0\n2 0\n2 0 1\n  2 1 7  \n", "line 5: vertex out of range in '2 1 7'"),
+    ("3 0\n1 0\n# note\n2 0\n2 0 1\n1 0 1\n", "line 6: vertex 1 cannot become its own parent"),
+]
+
+
+@pytest.mark.parametrize("text, message", PARSE_ERRORS)
+def test_parse_walk_moves_error_messages_are_unchanged(text, message):
+    with pytest.raises(GraphFormatError) as info:
+        parse_walk_moves(text)
+    assert str(info.value) == message
+
+
+def test_parse_walk_moves_reads_other_spellings_line_by_line():
+    expected = WalkSequence(RootedSpanningTree(0, (-1, 0, 0)), (LeafMove(2, 0, 1), LeafMove(2, 1, 0)))
+    for text in (
+        "3 0\n1 0\n2 0\n2 0 1\n2 1 0\n",  # the writer's form, read in bulk
+        "3 0\n1 0\n2 0\n2 0 1\n2 1 0",  # no final newline
+        "3 0\r\n1 0\r\n2 0\r\n2 0 1\r\n2 1 0\r\n",
+        "3 0\n1 0\n2 0\n2  0\t1\n+2 01 0\n",
+        "# walk\n3 0\n1 0\n\n2 0\n2 0 1\n# back\n2 1 0\n\n",
+    ):
+        assert parse_walk_moves(text) == expected

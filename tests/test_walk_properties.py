@@ -9,7 +9,10 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
+from strategies import graphs  # noqa: E402
 from treewalk import (  # noqa: E402
+    Graph,
+    GraphFormatError,
     LeafMove,
     RootedSpanningTree,
     WalkSequence,
@@ -24,6 +27,7 @@ from treewalk import (  # noqa: E402
     walk_from_canonical,
 )
 from stages import gap_sequence, select_boundary_edge  # noqa: E402
+from treewalk.walk import _parse_bulk  # noqa: E402
 
 # Derandomized so the suite sees the same examples on every run.
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -128,3 +132,60 @@ def test_canonical_walk_equals_the_stage_reference(inst):
             expected.extend(moves)
             members.add(newcomer)
     assert walk_from_canonical(g, num, target).moves == tuple(expected)
+
+
+@st.composite
+def drawn_graph_walks(draw):
+    """(graph, root, source, target, walk) on a graph from ``strategies.graphs``.
+
+    The cycle 0, 1, ..., n-1 is added to the drawn graph, which makes it
+    2-connected; the trees are random depth-first trees from a drawn seed.
+    """
+    g = draw(graphs())
+    assume(g.n >= 3)
+    cycle = {(v - 1, v) for v in range(1, g.n)} | {(0, g.n - 1)}
+    g = Graph.from_edges(g.n, sorted(g.edges | cycle))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    a = draw(st.integers(0, g.n - 1))
+    t1, t2 = random_spanning_tree(g, a, rng), random_spanning_tree(g, a, rng)
+    return g, a, t1, t2, walk(g, a, t1, t2)
+
+
+@SETTINGS
+@given(drawn_graph_walks(), st.data())
+def test_walk_stream_round_trips_with_comments_and_blank_lines(inst, data):
+    g, a, t1, t2, seq = inst
+    text = format_walk_moves(seq)
+    assert _parse_bulk(text) == seq  # the writer's form is read in bulk
+    assert parse_walk_moves(text) == seq
+    lines = text.splitlines()
+    noise = data.draw(
+        st.lists(
+            st.tuples(st.integers(0, len(lines)), st.sampled_from(["", "  ", "#", "# note 1 2 3"])),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    for at, extra in sorted(noise, reverse=True):
+        lines.insert(at, extra)
+    noisy = "\n".join(lines) + "\n"
+    assert _parse_bulk(noisy) is None  # ...and anything else line by line
+    assert parse_walk_moves(noisy) == seq
+
+
+@SETTINGS
+@given(drawn_graph_walks(), st.data())
+def test_any_single_int_changed_in_a_move_is_caught(inst, data):
+    g, a, t1, t2, seq = inst
+    assume(len(seq.moves))
+    lines = format_walk_moves(seq).splitlines()
+    i = data.draw(st.integers(g.n, len(lines) - 1))  # the n tree lines come first
+    fields = lines[i].split()
+    j = data.draw(st.integers(0, 2))
+    fields[j] = str(data.draw(st.integers(-2, g.n + 1).filter(lambda x: x != int(fields[j]))))
+    lines[i] = " ".join(fields)
+    try:
+        tampered = parse_walk_moves("\n".join(lines) + "\n")
+    except GraphFormatError:
+        return
+    assert not verify_walk(g, a, tampered, source=t1, target=t2).ok
