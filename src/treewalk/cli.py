@@ -73,7 +73,7 @@ def _cap(args) -> int:
 def _cmd_stnum(args) -> int:
     g = _load_graph(args.graph)
     num = st_numbering(g, args.s, args.t)
-    print(" ".join(str(v) for v in num.order))
+    print(" ".join(map(str, num.order)))
     return 0
 
 
@@ -151,8 +151,8 @@ def _cmd_partition(args) -> int:
     g = _load_graph(args.graph)
     v1, v2, strategy = partition2_with_strategy(g, args.u1, args.u2, args.n1)
     print("strategy:", strategy, file=sys.stderr)
-    print(" ".join(str(v) for v in sorted(v1)))
-    print(" ".join(str(v) for v in sorted(v2)))
+    print(" ".join(map(str, sorted(v1))))
+    print(" ".join(map(str, sorted(v2))))
     return 0
 
 

@@ -9,6 +9,8 @@ higher-numbered neighbor.  Such an order exists iff the graph is
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import ge, le
 
 from .graph import Graph
 
@@ -46,11 +48,12 @@ class STNumbering:
 def _lowpoint_search(g: Graph, s: int, t: int):
     """Depth-first search from t taking the edge (t, s) first, with lowpoints.
 
-    Returns the tree (parents, children), the back edges seen from both ends
-    and, per vertex, the back edge or the child that realizes its lowpoint.
-    Returns None unless ``g`` is 2-vertex-connected (Tarjan's lowpoint test):
-    n >= 3, every vertex reached, t with one tree child, and for every other
-    vertex v each child subtree has a back edge to above v.
+    Returns parents, children, the lower ends of each vertex's back edges
+    from below, and per vertex the next step of its lowpoint chain: the top
+    of the first back edge reaching its lowpoint or, if only a subtree gets
+    lower, the first such child.  Returns None unless ``g`` is 2-connected
+    (Tarjan's lowpoint test): n >= 3, every vertex reached, t with one tree
+    child, and for every other vertex v each child subtree reaching above v.
     """
     n = g.n
     if n < 3:
@@ -59,54 +62,50 @@ def _lowpoint_search(g: Graph, s: int, t: int):
     pre = [0] * n
     parent = [-1] * n
     children: list[list[int]] = [[] for _ in range(n)]
-    up_backs: list[list[int]] = [[] for _ in range(n)]   # back edges to strict ancestors
-    down_backs: list[list[int]] = [[] for _ in range(n)]  # the same edges seen from above
-    neighbor_order = [adj[v] for v in range(n)]
-    neighbor_order[t] = tuple([s] + [w for w in adj[t] if w != s])
-    ptr = [0] * n
-    pre[t] = 1
+    down_backs: list[list[int]] = [[] for _ in range(n)]  # lower ends of back edges to v
+    low = [0] * n  # lowpoint; until v is finished, over its own back edges only
+    low_next = [-1] * n  # the upper end of the back edge, or the child, realizing low
+    low_kid = [n + 1] * n  # lowest lowpoint of a finished child, and that child
+    best_kid = [-1] * n
+    pre[t] = low[t] = 1
     timer = 1
     stack = [t]
-    preorder = [t]
-    while stack:
+    scans = [iter((s, *(w for w in adj[t] if w != s)))]
+    while scans:
         v = stack[-1]
-        if ptr[v] < len(neighbor_order[v]):
-            w = neighbor_order[v][ptr[v]]
-            ptr[v] += 1
-            if w == parent[v]:
-                continue
-            if pre[w] == 0:
+        pv, up = pre[v], parent[v]
+        for w in scans[-1]:
+            pw = pre[w]
+            if not pw:
                 parent[w] = v
                 timer += 1
-                pre[w] = timer
+                pre[w] = low[w] = timer
                 children[v].append(w)
-                preorder.append(w)
                 stack.append(w)
-            elif pre[w] < pre[v]:
-                up_backs[v].append(w)
+                scans.append(iter(adj[w]))
+                break
+            if pw < pv and w != up:
                 down_backs[w].append(v)
+                if pw < low[v]:
+                    low[v] = pw
+                    low_next[v] = w
         else:
+            # v is finished: a child's subtree wins only below every back edge
             stack.pop()
+            scans.pop()
+            lv = low[v]
+            if low_kid[v] < lv:
+                lv = low[v] = low_kid[v]
+                low_next[v] = best_kid[v]
+            if up >= 0:
+                if up != t and lv >= pre[up]:
+                    return None
+                if lv < low_kid[up]:
+                    low_kid[up] = lv
+                    best_kid[up] = v
     if timer != n or len(children[t]) != 1:
         return None
-
-    low = pre[:]
-    low_via_back = [-1] * n   # ancestor reached by a back edge, or -1
-    low_via_child = [-1] * n  # child whose subtree realizes the lowpoint, or -1
-    for v in reversed(preorder):
-        for w in up_backs[v]:
-            if pre[w] < low[v]:
-                low[v] = pre[w]
-                low_via_back[v] = w
-                low_via_child[v] = -1
-        for c in children[v]:
-            if v != t and low[c] >= pre[v]:
-                return None
-            if low[c] < low[v]:
-                low[v] = low[c]
-                low_via_back[v] = -1
-                low_via_child[v] = c
-    return parent, children, up_backs, down_backs, low_via_back, low_via_child
+    return parent, children, down_backs, low_next
 
 
 def is_biconnected(g: Graph) -> bool:
@@ -118,10 +117,12 @@ def st_numbering(g: Graph, s: int, t: int) -> STNumbering:
     """Compute an st-numbering of a biconnected graph for the edge (s, t).
 
     Depth-first search from t taking the edge (t, s) first gives lowpoints,
-    which decide biconnectivity; a second pass repeatedly peels a path of
-    unvisited vertices between two visited ones off the structure and splices
-    it into a growing vertex order (the classical linear-time scheme).  Output
-    is deterministic: neighbor lists are scanned in ascending vertex order.
+    which decide biconnectivity; a second pass peels paths of unplaced
+    vertices between placed ones off the structure and splices them into a
+    growing vertex order (Even and Tarjan's scheme).  An edge is used once
+    its lower end is placed, so one flag per vertex replaces a set of used
+    edges.  Output is deterministic: neighbor lists are scanned in
+    ascending vertex order, and it is checked before it is returned.
     Raises ValueError unless (s, t) is an edge, then NotBiconnectedError
     unless ``g`` is 2-vertex-connected.
     """
@@ -130,77 +131,32 @@ def st_numbering(g: Graph, s: int, t: int) -> STNumbering:
     search = _lowpoint_search(g, s, t)
     if search is None:
         raise NotBiconnectedError("st-numbering requires a 2-vertex-connected graph")
-    parent, children, up_backs, down_backs, low_via_back, low_via_child = search
-    n = g.n
-
-    # --- path-based ordering ---
-    old_vertex = [False] * n
-    old_vertex[s] = old_vertex[t] = True
-    old_edge = {(s, t) if s < t else (t, s)}
-    cursor_up = [0] * n
-    cursor_child = [0] * n
-    cursor_down = [0] * n
-
-    def take(v: int, lst: list[int], cursor: list[int]) -> int:
-        i = cursor[v]
-        while i < len(lst):
-            w = lst[i]
-            if ((v, w) if v < w else (w, v)) not in old_edge:
-                cursor[v] = i + 1
-                old_edge.add((v, w) if v < w else (w, v))
-                return w
-            i += 1
-        cursor[v] = i
-        return -1
-
-    def find_path(v: int) -> list[int] | None:
-        w = take(v, up_backs[v], cursor_up)
-        if w >= 0:
-            return [v, w]
-        w = take(v, children[v], cursor_child)
-        if w >= 0:
-            # walk down the lowpoint chain, then one back edge up to an old ancestor
-            path = [v, w]
-            u = w
-            while not old_vertex[u]:
-                old_vertex[u] = True
-                z = low_via_back[u]
-                if z < 0:
-                    z = low_via_child[u]
-                old_edge.add((u, z) if u < z else (z, u))
-                path.append(z)
-                u = z
-            return path
-        w = take(v, down_backs[v], cursor_down)
-        if w >= 0:
-            # climb from the descendant back toward v along tree edges
-            path = [v, w]
-            u = w
-            while not old_vertex[u]:
-                old_vertex[u] = True
-                p = parent[u]
-                old_edge.add((u, p) if u < p else (p, u))
-                path.append(p)
-                u = p
-            return path
-        return None
-
-    number = [0] * n
-    counter = 0
+    parent, children, down_backs, low_next = search
+    placed = bytearray(g.n)
+    placed[s] = placed[t] = 1
+    order = []
     work = [t, s]
     while work:
         v = work.pop()
-        path = find_path(v)
-        if path is None:
-            counter += 1
-            number[v] = counter
-        else:
-            # re-stack the path with v on top; the final (old) vertex stays put
-            work.extend(path[-2::-1])
-
-    order = [0] * n
-    for v in range(n):
-        order[number[v] - 1] = v
+        for u in children[v]:
+            if not placed[u]:
+                # down the lowpoint chain, then one back edge up to a placed ancestor
+                path = []
+                while not placed[u]:
+                    placed[u] = 1
+                    path.append(u)
+                    u = low_next[u]
+                work += reversed(path)
+        for u in down_backs[v]:
+            if not placed[u]:
+                # from the lower end of the back edge up the tree to a placed vertex
+                path = []
+                while not placed[u]:
+                    placed[u] = 1
+                    path.append(u)
+                    u = parent[u]
+                work += reversed(path)
+        order.append(v)
     result = STNumbering(tuple(order))
     if not validate_st_numbering(g, result, s, t):
         raise AssertionError(f"st_numbering built an invalid order for ({s}, {t})")
@@ -224,19 +180,28 @@ def _extreme_neighbors(g: Graph, num: STNumbering) -> tuple[list[int], list[int]
     last has one above it, as in an st-numbering: the walk's stages drop
     vertices down and restore them up along these neighbors.  An isolated
     vertex counts as its own lowest and highest neighbor, so it fails
-    whichever of the two tests applies to it.
+    whichever of the two tests applies to it.  The tables are filled by
+    visiting the vertices in descending positions, each one overwriting its
+    neighbors' entries in ``lo``, and ascending for ``hi``; the error names
+    the lowest-numbered vertex that fails.
     """
     if num.n != g.n:
         raise ValueError(f"numbering has {num.n} vertices, graph has {g.n}")
-    pos = num.positions
-    first, last = num.order[0], num.order[-1]
-    lo = [0] * g.n
-    hi = [0] * g.n
-    for v, nbrs in enumerate(g.adj):
-        lo[v] = min(nbrs, key=pos.__getitem__, default=v)
-        hi[v] = max(nbrs, key=pos.__getitem__, default=v)
-        if v != first and pos[lo[v]] >= pos[v]:
-            raise ValueError(f"not an st-numbering: vertex {v} has no lower-positioned neighbor")
-        if v != last and pos[hi[v]] <= pos[v]:
-            raise ValueError(f"not an st-numbering: vertex {v} has no higher-positioned neighbor")
+    n, adj, order, pos = g.n, g.adj, num.order, num.positions
+    lo, hi = list(range(n)), list(range(n))
+    for u in reversed(order):
+        for w in adj[u]:
+            lo[w] = u
+    for u in order:
+        for w in adj[u]:
+            hi[w] = u
+    # The first vertex always lacks a lower neighbor and the last a higher one.
+    no_lower = compress(range(n), map(ge, map(pos.__getitem__, lo), pos))
+    no_higher = compress(range(n), map(le, map(pos.__getitem__, hi), pos))
+    v_lo = next((v for v in no_lower if v != order[0]), n)
+    v_hi = next((v for v in no_higher if v != order[-1]), n)
+    if v_lo < n and v_lo <= v_hi:
+        raise ValueError(f"not an st-numbering: vertex {v_lo} has no lower-positioned neighbor")
+    if v_hi < n:
+        raise ValueError(f"not an st-numbering: vertex {v_hi} has no higher-positioned neighbor")
     return lo, hi

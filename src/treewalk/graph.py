@@ -8,6 +8,7 @@ live here: the edge-intersection test and the direct parent-map test.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -43,13 +44,13 @@ class Graph:
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            e = _norm(u, v)
+            e = (u, v) if u < v else (v, u)
             if e in seen:
                 raise ValueError(f"duplicate edge ({u}, {v})")
             seen.add(e)
             lists[u].append(v)
             lists[v].append(u)
-        adj = tuple(tuple(sorted(xs)) for xs in lists)
+        adj = tuple(map(tuple, map(sorted, lists)))
         return cls(n, frozenset(seen), adj)
 
     @property
@@ -214,6 +215,16 @@ def apply_leaf_move(t: RootedSpanningTree, move: LeafMove, g: Graph) -> RootedSp
     return result
 
 
+def _check_tree_pair(g: Graph, a: int, t: RootedSpanningTree, t_prime: RootedSpanningTree) -> None:
+    """Raise ValueError unless ``t`` and ``t_prime`` are spanning trees of ``g`` rooted at ``a``."""
+    if t.root != a or t_prime.root != a:
+        raise ValueError(f"both trees must be rooted at {a} (got {t.root}, {t_prime.root})")
+    for name, tree in (("source", t), ("target", t_prime)):
+        problem = spanning_tree_violation(g, tree)
+        if problem is not None:
+            raise ValueError(f"{name} tree invalid: {problem}")
+
+
 def _check_same_shape(t_a: RootedSpanningTree, t_b: RootedSpanningTree, a: int) -> None:
     if t_a.n != t_b.n:
         raise ValueError(f"trees over mismatched vertex sets ({t_a.n} vs {t_b.n})")
@@ -333,12 +344,42 @@ def _parse_ints(lineno: int, line: str, count: int) -> list[int]:
         raise GraphFormatError(f"line {lineno}: expected {count} integers, got {line!r}") from None
 
 
+def _bulk_ints(text: str, start: int, per_line: int, n: int) -> array | None:
+    """The ints of ``text[start:]`` if each of its lines is ``per_line`` vertex ids, else None.
+
+    That is the writers' exact form: ids 0..n-1 in plain decimal, one space
+    between two, a newline after each line.  Slices of some 64 KB are
+    converted at a time, so few tokens are held at once.  ``n`` must be
+    bounded by the text: the ids are looked up in a table of all n.
+    """
+    table = {str(v): v for v in range(n)}
+    line = b" " * (per_line - 1) + b"\n"
+    out = array("i")
+    while start < len(text):
+        end = text.find("\n", start + 65536) + 1 or len(text)
+        part = text[start:end]
+        count = part.count("\n")
+        ints = list(map(table.get, part.split()))
+        # With its digits deleted, every line reads per_line - 1 spaces and a newline.
+        skeleton = part.encode().translate(None, b"0123456789")
+        if skeleton != line * count or len(ints) != per_line * count or None in ints:
+            return None
+        out.fromlist(ints)
+        start = end
+    return out
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the graph file format: a header ``n m`` then m lines ``u v``.
 
     Lines starting with '#' and blank lines are skipped.  Errors name the
-    offending line.
+    offending line.  A header may claim at most 2m + 2 vertices, so a graph
+    takes memory in proportion to its text.  Text in the exact form of
+    :func:`format_graph` is read in bulk, any other text line by line.
     """
+    g = _parse_graph_bulk(text)
+    if g is not None:
+        return g
     lines = _data_lines(text)
     if not lines:
         raise GraphFormatError("empty graph description")
@@ -346,6 +387,8 @@ def parse_graph(text: str) -> Graph:
     n, m = _parse_ints(lineno, header, 2)
     if m < 0:
         raise GraphFormatError(f"line {lineno}: negative edge count {m}")
+    if n > 2 * m + 2:
+        raise GraphFormatError(f"line {lineno}: {n} vertices exceed 2m + 2 for m = {m}")
     if len(lines) - 1 < m:
         raise GraphFormatError(f"expected {m} edge lines, found {len(lines) - 1}")
     if len(lines) - 1 > m:
@@ -365,6 +408,20 @@ def parse_graph(text: str) -> Graph:
         raise
     except ValueError as exc:
         raise GraphFormatError(f"line {lineno}: {exc}") from None
+
+
+def _parse_graph_bulk(text: str) -> Graph | None:
+    """The graph in ``text`` if :func:`format_graph` could have written it, else None."""
+    header = text[:text.find("\n") + 1]
+    try:
+        n, m = map(int, header.split(" "))
+        # m lines bound n, and so the id table of _bulk_ints, by the text.
+        if header == f"{n} {m}\n" and n <= 2 * m + 2 and text.count("\n", len(header)) == m:
+            flat = _bulk_ints(text, len(header), 2, n)
+            return None if flat is None else Graph.from_edges(n, zip(flat[0::2], flat[1::2]))
+    except ValueError:  # the header, or an edge Graph.from_edges refuses
+        pass
+    return None
 
 
 def format_graph(g: Graph) -> str:

@@ -28,26 +28,20 @@ def make_gk(k: int) -> LowerBoundInstance:
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     n = 4 * k + 1
+    # Ladder edges join consecutive four-cycles, in the graph and in the two-branch tree.
+    ladder = [e for b in range(0, 4 * k - 4, 4) for e in ((b + 4, b + 5), (b + 3, b + 6))]
     edges = [(0, 1), (0, 2)]
-    for i in range(k):
-        b = 4 * i
+    for b in range(0, 4 * k, 4):
         edges += [(b + 1, b + 2), (b + 2, b + 3), (b + 3, b + 4), (b + 4, b + 1)]
-    for i in range(k - 1):
-        b = 4 * i
-        edges += [(b + 4, b + 5), (b + 3, b + 6)]
-    graph = Graph.from_edges(n, edges)
+    graph = Graph.from_edges(n, edges + ladder)
 
     path_edges = [(i, i + 1) for i in range(n - 1)]
     tree_a = tree_from_edges(n, path_edges, 0)
 
     branch_edges = [(0, 1), (0, 2)]
-    for i in range(k):
-        b = 4 * i
+    for b in range(0, 4 * k, 4):
         branch_edges += [(b + 1, b + 4), (b + 2, b + 3)]
-    for i in range(k - 1):
-        b = 4 * i
-        branch_edges += [(b + 4, b + 5), (b + 3, b + 6)]
-    tree_b = tree_from_edges(n, branch_edges, 0)
+    tree_b = tree_from_edges(n, branch_edges + ladder, 0)
 
     return LowerBoundInstance(k, graph, 0, tree_a, tree_b)
 

@@ -28,8 +28,8 @@ from .graph import (
     Graph,
     LeafMove,
     RootedSpanningTree,
+    _check_tree_pair,
     _find,
-    spanning_tree_violation,
     tree_from_edges,
 )
 from .walk import WalkSequence, _rehangs
@@ -307,12 +307,7 @@ def shortest_tree_path(
     cap: int = DEFAULT_CAP,
 ) -> WalkSequence:
     """One shortest walk between the two trees, as a verifiable sequence."""
-    if t.root != a or t_prime.root != a:
-        raise ValueError(f"both trees must be rooted at {a}")
-    for name, tree in (("source", t), ("target", t_prime)):
-        problem = spanning_tree_violation(g, tree)
-        if problem is not None:
-            raise ValueError(f"{name} tree invalid: {problem}")
+    _check_tree_pair(g, a, t, t_prime)
     if t == t_prime:
         return WalkSequence(t, ())
     space = _PackedTrees(g, a)

@@ -29,6 +29,8 @@ from .graph import (
     GraphFormatError,
     LeafMove,
     RootedSpanningTree,
+    _bulk_ints,
+    _check_tree_pair,
     _child_counts,
     _parse_ints,
     _read_tree,
@@ -160,17 +162,26 @@ class WalkTrees(Sequence):
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return tuple(self)[i]
+            wanted = range(len(self))[i]
+            if wanted.step > 0:
+                return tuple(self._ascending(wanted))
+            return tuple(self._ascending(wanted[::-1]))[::-1]
         i = range(len(self))[i]
         return _replay(self._walk, i)
 
     def __iter__(self) -> Iterator[RootedSpanningTree]:
+        return self._ascending(range(len(self)))
+
+    def _ascending(self, wanted: range) -> Iterator[RootedSpanningTree]:
+        """The trees at the ascending indices ``wanted``, from one replay; only those are built."""
         source = self._walk.source
         parents = list(source.parents)
-        yield source
-        for v, new in _rehangs(self._walk):
+        if 0 in wanted:
+            yield source
+        for k, (v, new) in enumerate(_rehangs(self._walk, wanted[-1] if wanted else 0), 1):
             parents[v] = new
-            yield RootedSpanningTree(source.root, tuple(parents))
+            if k in wanted:
+                yield RootedSpanningTree(source.root, tuple(parents))
 
     def __reversed__(self) -> Iterator[RootedSpanningTree]:
         return iter(self._walk.reverse().trees)
@@ -300,12 +311,7 @@ def walk(
     The result starts exactly at ``t``, ends exactly at ``t_prime``, and
     has at most 2n(n-1) moves.
     """
-    if t.root != a or t_prime.root != a:
-        raise ValueError(f"both trees must be rooted at {a} (got {t.root}, {t_prime.root})")
-    for name, tree in (("source", t), ("target", t_prime)):
-        problem = spanning_tree_violation(g, tree)
-        if problem is not None:
-            raise ValueError(f"{name} tree invalid: {problem}")
+    _check_tree_pair(g, a, t, t_prime)
     if t == t_prime:
         return WalkSequence(t, ())
     mate = min(g.adj[a])
@@ -472,17 +478,16 @@ def _parse_bulk(text: str) -> WalkSequence | None:
     """
     try:
         n = int(text[:text.index("\n")].split()[0])
-        *head, block = text.split("\n", n)
-        source = _read_tree("\n".join(head), "walk", more_lines=False)[0]
-        # Only a vertex 0..n-1 written without sign or leading zeros is a key.
-        flat = array("i", map({str(v): v for v in range(n)}.__getitem__, block.split()))
-    except (ValueError, IndexError, KeyError, OverflowError):  # GraphFormatError too
+        end = 0
+        for _ in range(n):
+            end = text.index("\n", end) + 1
+        source = _read_tree(text[:end], "walk", more_lines=False)[0]
+    except (ValueError, IndexError):  # GraphFormatError too
         return None
-    # With its digits deleted, every move line reads two spaces and a newline.
-    skeleton = block.encode().translate(None, b"0123456789")
+    flat = _bulk_ints(text, end, 3, n)
+    if flat is None:
+        return None
     vs, news = flat[0::3], flat[2::3]
-    if skeleton != b"  \n" * len(vs) or len(flat) != 3 * len(vs):
-        return None
     if source.root in vs or any(map(eq, vs, news)):
         return None
     return WalkSequence(source, flat)

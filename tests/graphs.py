@@ -6,11 +6,13 @@ small composites) and by the package's two counting routes agreeing.
 
 ``bareiss_count`` is the dense reference for the package's sparse modular
 count: the same determinant, by a different method and without a modulus.
+``reference_st_numbering`` is the path-peeling st-numbering that keeps a set
+of used edges; the package's flag-array version must give the same orders.
 """
 
 from __future__ import annotations
 
-from treewalk import Graph
+from treewalk import Graph, NotBiconnectedError, STNumbering
 
 
 def _g(n, edges):
@@ -125,3 +127,157 @@ def bareiss_count(g: Graph) -> int:
                 row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
         prev = pivot
     return sign * mat[size - 1][size - 1]
+
+
+def _reference_lowpoints(g: Graph, s: int, t: int):
+    """Depth-first search from t taking the edge (t, s) first, with lowpoints.
+
+    Returns the tree (parents, children), the back edges seen from both ends
+    and, per vertex, the back edge or the child that realizes its lowpoint.
+    Returns None unless ``g`` is 2-vertex-connected (Tarjan's lowpoint test):
+    n >= 3, every vertex reached, t with one tree child, and for every other
+    vertex v each child subtree has a back edge to above v.
+    """
+    n = g.n
+    if n < 3:
+        return None
+    adj = g.adj
+    pre = [0] * n
+    parent = [-1] * n
+    children: list[list[int]] = [[] for _ in range(n)]
+    up_backs: list[list[int]] = [[] for _ in range(n)]   # back edges to strict ancestors
+    down_backs: list[list[int]] = [[] for _ in range(n)]  # the same edges seen from above
+    neighbor_order = [adj[v] for v in range(n)]
+    neighbor_order[t] = tuple([s] + [w for w in adj[t] if w != s])
+    ptr = [0] * n
+    pre[t] = 1
+    timer = 1
+    stack = [t]
+    preorder = [t]
+    while stack:
+        v = stack[-1]
+        if ptr[v] < len(neighbor_order[v]):
+            w = neighbor_order[v][ptr[v]]
+            ptr[v] += 1
+            if w == parent[v]:
+                continue
+            if pre[w] == 0:
+                parent[w] = v
+                timer += 1
+                pre[w] = timer
+                children[v].append(w)
+                preorder.append(w)
+                stack.append(w)
+            elif pre[w] < pre[v]:
+                up_backs[v].append(w)
+                down_backs[w].append(v)
+        else:
+            stack.pop()
+    if timer != n or len(children[t]) != 1:
+        return None
+
+    low = pre[:]
+    low_via_back = [-1] * n   # ancestor reached by a back edge, or -1
+    low_via_child = [-1] * n  # child whose subtree realizes the lowpoint, or -1
+    for v in reversed(preorder):
+        for w in up_backs[v]:
+            if pre[w] < low[v]:
+                low[v] = pre[w]
+                low_via_back[v] = w
+                low_via_child[v] = -1
+        for c in children[v]:
+            if v != t and low[c] >= pre[v]:
+                return None
+            if low[c] < low[v]:
+                low[v] = low[c]
+                low_via_back[v] = -1
+                low_via_child[v] = c
+    return parent, children, up_backs, down_backs, low_via_back, low_via_child
+
+
+def reference_st_numbering(g: Graph, s: int, t: int) -> STNumbering:
+    """The st-numbering of the classical path-peeling scheme, edge by edge.
+
+    Depth-first search from t taking the edge (t, s) first gives lowpoints;
+    a second pass repeatedly peels a path of unvisited vertices between two
+    visited ones off the structure and splices it into a growing vertex
+    order, keeping every used edge in a set of (min, max) pairs.  The
+    package's ``st_numbering`` must give the same order.
+    """
+    if not g.has_edge(s, t):
+        raise ValueError(f"({s}, {t}) is not a graph edge")
+    search = _reference_lowpoints(g, s, t)
+    if search is None:
+        raise NotBiconnectedError("st-numbering requires a 2-vertex-connected graph")
+    parent, children, up_backs, down_backs, low_via_back, low_via_child = search
+    n = g.n
+
+    # --- path-based ordering ---
+    old_vertex = [False] * n
+    old_vertex[s] = old_vertex[t] = True
+    old_edge = {(s, t) if s < t else (t, s)}
+    cursor_up = [0] * n
+    cursor_child = [0] * n
+    cursor_down = [0] * n
+
+    def take(v: int, lst: list[int], cursor: list[int]) -> int:
+        i = cursor[v]
+        while i < len(lst):
+            w = lst[i]
+            if ((v, w) if v < w else (w, v)) not in old_edge:
+                cursor[v] = i + 1
+                old_edge.add((v, w) if v < w else (w, v))
+                return w
+            i += 1
+        cursor[v] = i
+        return -1
+
+    def find_path(v: int) -> list[int] | None:
+        w = take(v, up_backs[v], cursor_up)
+        if w >= 0:
+            return [v, w]
+        w = take(v, children[v], cursor_child)
+        if w >= 0:
+            # walk down the lowpoint chain, then one back edge up to an old ancestor
+            path = [v, w]
+            u = w
+            while not old_vertex[u]:
+                old_vertex[u] = True
+                z = low_via_back[u]
+                if z < 0:
+                    z = low_via_child[u]
+                old_edge.add((u, z) if u < z else (z, u))
+                path.append(z)
+                u = z
+            return path
+        w = take(v, down_backs[v], cursor_down)
+        if w >= 0:
+            # climb from the descendant back toward v along tree edges
+            path = [v, w]
+            u = w
+            while not old_vertex[u]:
+                old_vertex[u] = True
+                p = parent[u]
+                old_edge.add((u, p) if u < p else (p, u))
+                path.append(p)
+                u = p
+            return path
+        return None
+
+    number = [0] * n
+    counter = 0
+    work = [t, s]
+    while work:
+        v = work.pop()
+        path = find_path(v)
+        if path is None:
+            counter += 1
+            number[v] = counter
+        else:
+            # re-stack the path with v on top; the final (old) vertex stays put
+            work.extend(path[-2::-1])
+
+    order = [0] * n
+    for v in range(n):
+        order[number[v] - 1] = v
+    return STNumbering(tuple(order))

@@ -239,6 +239,14 @@ def test_validation_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_a_header_beyond_its_edges_is_a_validation_error(tmp_path, capsys):
+    huge = _write(tmp_path, "huge.txt", "20000000 0\n")
+    assert main(["stnum", "--graph", huge, "0", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 1: 20000000 vertices exceed 2m + 2 for m = 0\n"
+
+
 def test_oracle_distance_disconnected_tree_graph(tmp_path, capsys):
     # In the bowtie the path 0-1-2-3-4 has one leaf, 4, and 4 has no other
     # neighbor, so no leaf move leaves that tree.

@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
+from graphs import reference_st_numbering  # noqa: E402
 from strategies import graphs  # noqa: E402
 from treewalk import (  # noqa: E402
     Graph,
     NotBiconnectedError,
     STNumbering,
     is_biconnected,
+    random_biconnected_graph,
     st_numbering,
     validate_st_numbering,
 )
@@ -75,3 +79,41 @@ def numbered_graphs(draw):
 def test_validator_matches_the_definition(inst):
     g, order, s, t = inst
     assert validate_st_numbering(g, STNumbering(order), s, t) == _valid_by_definition(g, order, s, t)
+
+
+@st.composite
+def biconnected_graphs(draw):
+    """A 2-connected graph: a drawn graph on 3..12 vertices plus a Hamiltonian cycle in drawn order,
+    or a generator graph on up to 80 vertices from a drawn seed."""
+    if draw(st.booleans()):
+        g = draw(graphs(max_n=12, surplus=draw(st.sampled_from([0, 5, 20]))))
+        assume(g.n >= 3)
+        ring = draw(st.permutations(range(g.n)))
+        cycle = {(min(u, v), max(u, v)) for u, v in zip(ring, ring[1:] + ring[:1])}
+        return Graph.from_edges(g.n, sorted(g.edges | cycle))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(3, 80))
+    return random_biconnected_graph(n, rng, extra_edges=draw(st.integers(0, n)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(biconnected_graphs())
+def test_st_numbering_matches_the_path_peeling_reference(g):
+    # Every edge, both ways round: the flag-array peeling places the
+    # vertices in the order of the edge-set reference.
+    for u, v in sorted(g.edges):
+        for s, t in ((u, v), (v, u)):
+            assert st_numbering(g, s, t).order == reference_st_numbering(g, s, t).order
+
+
+@SETTINGS
+@given(graphs_with_an_edge())
+def test_st_numbering_refuses_what_the_reference_refuses(inst):
+    g, s, t = inst
+    try:
+        expected = reference_st_numbering(g, s, t).order
+    except NotBiconnectedError:
+        with pytest.raises(NotBiconnectedError):
+            st_numbering(g, s, t)
+    else:
+        assert st_numbering(g, s, t).order == expected

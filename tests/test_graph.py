@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -22,6 +23,8 @@ from treewalk import (
     trees_adjacent,
     trees_adjacent_via_move,
 )
+
+from treewalk.graph import _parse_graph_bulk
 
 import graphs
 
@@ -258,6 +261,56 @@ def test_parse_graph_error_messages():
         with pytest.raises(GraphFormatError) as info:
             parse_graph(text)
         assert str(info.value) == message, text
+
+
+# A header may claim at most 2m + 2 vertices, and a claim is checked before
+# anything of size n is built, so a few bytes cannot take megabytes.
+HEADER_BOUND_ERRORS = [
+    ("2000000 0\n", "line 1: 2000000 vertices exceed 2m + 2 for m = 0"),
+    ("20000000 0\n", "line 1: 20000000 vertices exceed 2m + 2 for m = 0"),
+    ("# c\n7 2\n0 1\n2 3\n", "line 2: 7 vertices exceed 2m + 2 for m = 2"),
+    ("20000000 10000000\n", "expected 10000000 edge lines, found 0"),
+    ("20000000 10000000\n0 1\n", "expected 10000000 edge lines, found 1"),
+]
+
+
+@pytest.mark.parametrize("text, message", HEADER_BOUND_ERRORS)
+def test_parse_graph_refuses_a_header_beyond_its_edges(text, message):
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphFormatError) as info:
+            parse_graph(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == message
+    assert peak < 1 << 20
+
+
+def test_parse_graph_takes_up_to_2m_plus_2_vertices():
+    g = parse_graph("6 2\n0 1\n2 3\n")
+    assert (g.n, sorted(g.edges), g.adj[5]) == (6, [(0, 1), (2, 3)], ())
+    assert parse_graph("2 0\n") == Graph.from_edges(2, [])
+
+
+# The writer's numbers in another layout: the bulk reader turns each text
+# down, so the line reader reads it or names the line at fault.
+@pytest.mark.parametrize("text, outcome", [
+    ("3 2\n0 1 2\n0\n", "line 2: expected 2 integers, got '0 1 2'"),
+    ("2 1\n0\x0c1\n", "line 3: unexpected extra line '1'"),
+    ("3 2\n0\t1\n1 2\n", {(0, 1), (1, 2)}),
+    ("3 2\n0  1\n1 2\n", {(0, 1), (1, 2)}),
+    ("3 2\n0 1\n01 2\n", {(0, 1), (1, 2)}),
+    ("3 2\n0 1\n1 2", {(0, 1), (1, 2)}),
+])
+def test_parse_graph_reads_other_layouts_line_by_line(text, outcome):
+    assert _parse_graph_bulk(text) is None
+    if isinstance(outcome, str):
+        with pytest.raises(GraphFormatError) as info:
+            parse_graph(text)
+        assert str(info.value) == outcome
+    else:
+        assert parse_graph(text).edges == outcome
 
 
 AD_TREE_ERRORS = [

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from array import array
 from collections.abc import Sequence
 from pathlib import Path
@@ -177,13 +178,17 @@ def test_numbering_of_the_wrong_size_is_rejected():
 
 
 def test_walk_from_canonical_milestone_check_survives_optimized_mode():
-    # ``python -O`` strips assert statements; the walk's certifying checks
+    # ``python -O`` strips assert statements; the checks that certify output
     # must still raise there.  A stage patched to move nothing leaves vertex 1
     # on its canonical parent 2, which misses the first milestone (1 under 0),
     # and a numbering that is not an st-numbering is rejected up front.
+    # st_numbering checks its own result, and a graph file the bulk reader
+    # turns down still gets the line reader's exact message.
     code = (
         "import sys\n"
-        "from treewalk import Graph, RootedSpanningTree, STNumbering, walk_from_canonical\n"
+        "import treewalk.connectivity\n"
+        "from treewalk import Graph, RootedSpanningTree, STNumbering, parse_graph, st_numbering,"
+        " walk_from_canonical\n"
         "print(sys.flags.optimize)\n"
         "g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])\n"
         "target = RootedSpanningTree(0, (-1, 0, 1, 2))\n"
@@ -196,6 +201,16 @@ def test_walk_from_canonical_milestone_check_survives_optimized_mode():
         "    walk_from_canonical(g, STNumbering((0, 2, 1, 3)), target)\n"
         "except ValueError as exc:\n"
         "    print('raised:', exc)\n"
+        "treewalk.connectivity.validate_st_numbering = lambda *args: False\n"
+        "try:\n"
+        "    st_numbering(g, 0, 1)\n"
+        "except AssertionError as exc:\n"
+        "    print('raised:', exc)\n"
+        "for text in ('3 1\\n0 9\\n', '3 2\\n0 1\\n1 0\\n'):\n"
+        "    try:\n"
+        "        parse_graph(text)\n"
+        "    except ValueError as exc:\n"
+        "        print('raised:', exc)\n"
     )
     src = str(Path(treewalk.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
@@ -206,6 +221,9 @@ def test_walk_from_canonical_milestone_check_survives_optimized_mode():
     assert out[0] == "1"
     assert out[1].startswith("raised:") and "milestone" in out[1]
     assert out[2].startswith("raised:") and "not an st-numbering" in out[2]
+    assert out[3] == "raised: st_numbering built an invalid order for (0, 1)"
+    assert out[4] == "raised: line 2: edge (0, 9) out of range for n=3"
+    assert out[5] == "raised: line 3: duplicate edge (1, 0)"
 
 
 def test_no_assert_statements_in_the_package():
@@ -454,6 +472,54 @@ def test_parse_walk_moves_errors():
     assert len(seq.trees) == 2
 
 
+def test_walk_tree_slices_match_the_full_list():
+    rng = random.Random(4)
+    g = random_biconnected_graph(9, rng)
+    seq = walk(g, 0, random_spanning_tree(g, 0, rng), random_spanning_tree(g, 0, rng))
+    trees = tuple(seq.trees)
+    size = len(trees)
+    assert size > 10
+    for s in (slice(None), slice(2, 7), slice(-1, None), slice(-3, -1), slice(None, None, 3),
+              slice(1, None, 4), slice(None, None, -1), slice(-2, 1, -2), slice(5, 5),
+              slice(size, None), slice(-size - 5, 3), slice(3, 0), slice(0, size + 9, 5)):
+        assert seq.trees[s] == trees[s], s
+
+
+def test_walk_tree_slice_builds_only_the_trees_it_returns():
+    rng = random.Random(6)
+    g = random_biconnected_graph(128, rng)
+    seq = walk(g, 0, random_spanning_tree(g, 0, rng), random_spanning_tree(g, 0, rng))
+    assert len(seq.moves) > 10_000  # every tree of it would take more than 10 MB
+    tracemalloc.start()
+    try:
+        last = seq.trees[-1:]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert last == (seq.target,)
+    assert peak < 1 << 20
+
+
+def test_bulk_reader_holds_few_tokens_at_once():
+    # About 289k moves in 3.3 MB of text.  The reader converts it in slices,
+    # so its peak is the move store (3.5 MB) and what checks it, 6 MB in all;
+    # one token list for the whole text took 59 MB.  (At n=1024, 1.13M moves,
+    # that is 23 MB against 230 MB, but tracemalloc makes that parse take 12 s.)
+    rng = random.Random(1)
+    g = random_biconnected_graph(512, rng)
+    seq = walk(g, 0, random_spanning_tree(g, 0, rng), random_spanning_tree(g, 0, rng))
+    text = format_walk_moves(seq)
+    assert len(seq.moves) > 250_000
+    tracemalloc.start()
+    try:
+        again = parse_walk_moves(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again == seq
+    assert peak <= 15 * 10**6
+
+
 def test_walk_moves_are_a_read_only_view():
     seq = walk_from_canonical(graphs.TRIANGLE, TRI_NUM, TRI_TARGET)
     moves = seq.moves
@@ -533,6 +599,8 @@ PARSE_ERRORS = [
     ("3 0\n1 0\n2 0\n2 0 1\n2 1 0\n2 0 +\n", "line 6: expected 3 integers, got '2 0 +'"),
     ("3 0\n1 0\n2 0\n2 0 1\n  2 1 7  \n", "line 5: vertex out of range in '2 1 7'"),
     ("3 0\n1 0\n# note\n2 0\n2 0 1\n1 0 1\n", "line 6: vertex 1 cannot become its own parent"),
+    ("3 0\n1 0\n2 0\n2 0\n1 2 1 0\n", "line 4: expected 3 integers, got '2 0'"),
+    ("3 0\n1 0\n2 0\n2\x0c0 1\n", "line 4: expected 3 integers, got '2'"),
 ]
 
 
