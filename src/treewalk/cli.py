@@ -2,12 +2,16 @@
 
 Exit codes: 0 success, 1 usage error, 2 validation failure, 3 state cap
 exceeded.  The environment variable TREEWALK_CAP overrides the default cap
-for the oracle and experiment commands; a --cap flag overrides both.
+for the oracle and experiment commands; a --cap flag overrides both.  For a
+distance the cap bounds the trees the search holds at once, for a path the
+trees it has stored, and for a count or a diameter the trees enumerated;
+experiment leaves the distance of a row that hits the cap empty.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -169,6 +173,7 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+@functools.cache  # parse_args keeps no state in the parser, so one serves every call
 def _build_parser() -> _Parser:
     parser = _Parser(prog="treewalk", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

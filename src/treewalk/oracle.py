@@ -30,7 +30,6 @@ from .graph import (
     RootedSpanningTree,
     _check_tree_pair,
     _find,
-    tree_from_edges,
 )
 from .walk import WalkSequence, _rehangs
 
@@ -50,15 +49,36 @@ class TreeGraphDisconnectedError(RuntimeError):
     2-connected graphs; raised loudly instead of returning a sentinel)."""
 
 
-def _connects(edges: list[tuple[int, int]], start: int, comp: list[int], parts: int) -> bool:
-    """Whether ``edges[start:]`` join the ``parts`` components of the forest ``comp``."""
-    label = comp.copy()
+def _connects(edges: list[tuple[int, int]], start: int, forest: list[int], parts: int) -> bool:
+    """Whether ``edges[start:]`` join the ``parts`` components of ``forest``.
+
+    Works on a copy: every top points to itself, so ``forest`` is also a
+    union-find list, and ``_find`` may halve its paths.
+    """
+    label = forest.copy()
     for u, v in edges[start:]:
         ru, rv = _find(label, u), _find(label, v)
         if ru != rv:
             label[ru] = rv
             parts -= 1
     return parts == 1
+
+
+def _top(forest: list[int], x: int) -> int:
+    """The top of ``x``'s component: the vertex that points to itself."""
+    while forest[x] != x:
+        x = forest[x]
+    return x
+
+
+def _hang(forest: list[int], v: int, u: int) -> None:
+    """Reverse the path from ``v`` to its top, so that ``v`` tops it, and point ``v`` at ``u``."""
+    while True:
+        up = forest[v]
+        forest[v] = u
+        if up == v:
+            return
+        u, v = v, up
 
 
 def enumerate_spanning_trees(
@@ -68,8 +88,12 @@ def enumerate_spanning_trees(
 
     Backtracking over edge inclusion/exclusion in sorted edge order, with an
     explicit stack, so the depth is not bounded by the recursion limit.  A
-    stack entry holds the next edge to decide, the chosen edges and their
-    forest's union-find list; the include branch is pushed last, so it is
+    stack entry holds the next edge to decide, the number of chosen edges
+    and their forest, one parent entry per vertex: each component is a tree
+    oriented towards its top, which points to itself.  An edge closes a
+    cycle when its ends share a top; including it hangs one end from the
+    other, so a finished branch is already oriented and only needs
+    re-rooting at ``root``.  The include branch is pushed last, so it is
     explored first.  Only branches that still lead to a spanning tree are
     pushed: including an edge keeps that true, and excluding one is pruned
     unless the chosen edges plus the later ones still connect the graph.
@@ -81,26 +105,25 @@ def enumerate_spanning_trees(
     m = len(edges)
     result: list[RootedSpanningTree] = []
     start = list(range(n))
-    stack = [(0, (), start)] if _connects(edges, 0, start, n) else []
+    stack = [(0, 0, start)] if _connects(edges, 0, start, n) else []
     while stack:
-        idx, chosen, comp = stack.pop()
-        count = len(chosen)
+        idx, count, forest = stack.pop()
         if count == n - 1:
             if len(result) >= cap:
                 raise CapExceededError(len(result))
-            result.append(tree_from_edges(n, chosen, root))
+            _hang(forest, root, -1)
+            result.append(RootedSpanningTree(root, tuple(forest)))
             continue
         u, v = edges[idx]
-        ru, rv = _find(comp, u), _find(comp, v)
-        if ru == rv:
-            stack.append((idx + 1, chosen, comp))
+        if _top(forest, u) == _top(forest, v):
+            stack.append((idx + 1, count, forest))
             continue
         # The count test is implied by _connects but answers most calls in O(1).
-        if count + m - idx - 1 >= n - 1 and _connects(edges, idx + 1, comp, n - count):
-            stack.append((idx + 1, chosen, comp))
-            comp = comp.copy()  # the exclude branch keeps the list as it is
-        comp[ru] = rv
-        stack.append((idx + 1, chosen + ((u, v),), comp))
+        if count + m - idx - 1 >= n - 1 and _connects(edges, idx + 1, forest, n - count):
+            stack.append((idx + 1, count, forest))
+            forest = forest.copy()  # the exclude branch keeps the list as it is
+        _hang(forest, v, u)
+        stack.append((idx + 1, count + 1, forest))
     return result
 
 
@@ -204,11 +227,17 @@ class _PackedTrees:
             {p: tuple((w - p) << (bits * v) for w in g.adj[v] if w != p) for p in g.adj[v]}
             for v in range(n)
         ]
+        # fields(key) lists the parent fields; leaves(fields), ascending, the
+        # vertices that no field holds.
         if bits == 8:
+            every = bytes(range(n))
             self.fields = lambda key: key.to_bytes(n, "little")
+            self.leaves = lambda fields: every.translate(None, fields)
         else:
             mask = (1 << bits) - 1
+            vertices = frozenset(range(n))
             self.fields = lambda key: [key >> s & mask for s in self._shifts]
+            self.leaves = lambda fields: sorted(vertices.difference(fields))
 
     def pack(self, t: RootedSpanningTree) -> int:
         """The key of ``t``, a spanning tree of the graph rooted at ``root``."""
@@ -226,11 +255,10 @@ class _PackedTrees:
     def neighbors(self, key: int) -> list[int]:
         """Keys of the trees one leaf move away from ``key``, by ascending leaf."""
         fields = self.fields(key)
-        inner = set(fields)
+        steps = self._steps
         out: list[int] = []
-        for v, steps in enumerate(self._steps):
-            if v not in inner:
-                out += map(key.__add__, steps[fields[v]])
+        for v in self.leaves(fields):
+            out += map(key.__add__, steps[v][fields[v]])
         return out
 
 
@@ -288,6 +316,49 @@ def _meet_in_the_middle(space: _PackedTrees, start: int, goal: int, cap: int) ->
     return path
 
 
+def _search_distance(space: _PackedTrees, start: int, goal: int, cap: int) -> int:
+    """Leaf-move distance from ``start`` to ``goal != start``, without a path.
+
+    Bidirectional BFS that keeps, per side, only the level before its
+    frontier and the frontier, as sets.  Each round expands the smaller
+    frontier: the union of its neighbors, less the two levels known to that
+    side, is the next level (the tree graph is undirected, so a neighbor of
+    level d lies in level d - 1, d or d + 1).  The balls searched so far are
+    disjoint, or the search would have stopped, so a new level can meet the
+    other side only in its frontier; the first meeting gives the distance.
+    ``cap`` bounds the trees held in the four level sets.
+    """
+    neighbors = space.neighbors
+    # Per side: the level before the frontier, the frontier, and trees explored.
+    sides = [[set(), {start}, 1], [set(), {goal}, 1]]
+    distance = 0
+    while True:
+        near, far = sides if len(sides[0][1]) <= len(sides[1][1]) else sides[::-1]
+        before, level, explored = near
+        held = len(far[0]) + len(far[1])
+        # Past this size the new level, less ``before`` and ``level``, is over the cap.
+        limit = cap - held + len(before)
+        new: set[int] = set()
+        for key in level:
+            new.update(neighbors(key))
+            if len(new) > limit:
+                break
+        new -= level
+        new -= before
+        held += len(level) + len(new)
+        if held > cap:
+            raise CapExceededError(held)
+        distance += 1
+        if not new.isdisjoint(far[1]):
+            return distance
+        if not new:
+            # This side's whole component is explored and misses the other end.
+            raise TreeGraphDisconnectedError(
+                f"no leaf-move path found after exploring {explored} trees"
+            )
+        near[:] = level, new, explored + len(new)
+
+
 def tree_distance(
     g: Graph,
     a: int,
@@ -295,8 +366,16 @@ def tree_distance(
     t_prime: RootedSpanningTree,
     cap: int = DEFAULT_CAP,
 ) -> int:
-    """Exact minimum number of leaf moves between two trees rooted at ``a``."""
-    return len(shortest_tree_path(g, a, t, t_prime, cap).moves)
+    """Exact minimum number of leaf moves between two trees rooted at ``a``.
+
+    ``cap`` bounds the trees the search holds at once: each side keeps only
+    its frontier and the level before it.
+    """
+    _check_tree_pair(g, a, t, t_prime)
+    if t == t_prime:
+        return 0
+    space = _PackedTrees(g, a)
+    return _search_distance(space, space.pack(t), space.pack(t_prime), cap)
 
 
 def shortest_tree_path(

@@ -8,11 +8,15 @@ small composites) and by the package's two counting routes agreeing.
 count: the same determinant, by a different method and without a modulus.
 ``reference_st_numbering`` is the path-peeling st-numbering that keeps a set
 of used edges; the package's flag-array version must give the same orders.
+``reference_enumeration`` is the backtracker that keeps its chosen edges and
+a union-find list, orienting each finished edge list with
+``tree_from_edges``; the package's oriented-forest version must list the
+same trees in the same order.
 """
 
 from __future__ import annotations
 
-from treewalk import Graph, NotBiconnectedError, STNumbering
+from treewalk import Graph, NotBiconnectedError, RootedSpanningTree, STNumbering, tree_from_edges
 
 
 def _g(n, edges):
@@ -281,3 +285,54 @@ def reference_st_numbering(g: Graph, s: int, t: int) -> STNumbering:
     for v in range(n):
         order[number[v] - 1] = v
     return STNumbering(tuple(order))
+
+
+def _reference_find(comp: list[int], x: int) -> int:
+    while comp[x] != x:
+        comp[x] = comp[comp[x]]
+        x = comp[x]
+    return x
+
+
+def _reference_connects(edges, start: int, comp: list[int], parts: int) -> bool:
+    """Whether ``edges[start:]`` join the ``parts`` components of the union-find list ``comp``."""
+    label = comp.copy()
+    for u, v in edges[start:]:
+        ru, rv = _reference_find(label, u), _reference_find(label, v)
+        if ru != rv:
+            label[ru] = rv
+            parts -= 1
+    return parts == 1
+
+
+def reference_enumeration(g: Graph, root: int = 0) -> list[RootedSpanningTree]:
+    """Every spanning tree rooted at ``root``, by inclusion/exclusion of sorted edges.
+
+    An explicit stack of (next edge, chosen edges, union-find list), the
+    include branch pushed last and explored first; an exclude branch is
+    pushed only while the chosen edges plus the later ones still connect
+    the graph.  Each finished edge list is oriented by ``tree_from_edges``.
+    """
+    n = g.n
+    edges = sorted(g.edges)
+    m = len(edges)
+    result = []
+    start = list(range(n))
+    stack = [(0, (), start)] if _reference_connects(edges, 0, start, n) else []
+    while stack:
+        idx, chosen, comp = stack.pop()
+        count = len(chosen)
+        if count == n - 1:
+            result.append(tree_from_edges(n, chosen, root))
+            continue
+        u, v = edges[idx]
+        ru, rv = _reference_find(comp, u), _reference_find(comp, v)
+        if ru == rv:
+            stack.append((idx + 1, chosen, comp))
+            continue
+        if count + m - idx - 1 >= n - 1 and _reference_connects(edges, idx + 1, comp, n - count):
+            stack.append((idx + 1, chosen, comp))
+            comp = comp.copy()
+        comp[ru] = rv
+        stack.append((idx + 1, chosen + ((u, v),), comp))
+    return result

@@ -16,6 +16,7 @@ from treewalk import (
     verify_walk,
     walk,
 )
+import treewalk.cli
 from treewalk.cli import main
 
 import graphs
@@ -226,6 +227,36 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
+def _session(argvs, capsys):
+    """(exit code, stdout, stderr) of each command run in turn."""
+    out = []
+    for argv in argvs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --help exits from inside argparse
+            code = exc.code
+        captured = capsys.readouterr()
+        out.append((code, captured.out, captured.err))
+    return out
+
+
+def test_the_shared_parser_answers_as_fresh_ones_do(tmp_path, capsys, monkeypatch):
+    g = _write(tmp_path, "g.txt", TRI_TEXT)
+    argvs = [
+        ["walk", "--graph", g],
+        ["stnum", "--graph", g, "0", "1"],
+        ["oracle", "distance", "--help"],
+        ["lower-bound", "--k", "x"],
+        ["--help"],
+    ]
+    shared = _session(argvs, capsys)
+    assert [code for code, _, _ in shared] == [1, 0, 0, 1, 0]
+    assert shared[1][1] == "0 2 1\n"
+    fresh = treewalk.cli._build_parser.__wrapped__
+    monkeypatch.setattr(treewalk.cli, "_build_parser", lambda: fresh())
+    assert _session(argvs, capsys) == shared
+
+
 def test_missing_file_is_reported(capsys):
     assert main(["stnum", "--graph", "/no/such/file", "0", "1"]) == 1
     assert "error:" in capsys.readouterr().err
@@ -258,3 +289,10 @@ def test_oracle_distance_disconnected_tree_graph(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: no leaf-move path found after exploring 1 trees\n"
+    # The other way round, the side from b runs out after b and its one
+    # neighbor, before the side from a is expanded.
+    assert main(["oracle", "distance", "--graph", g, "--root", "0",
+                 "--from", b, "--to", a]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no leaf-move path found after exploring 2 trees\n"

@@ -17,7 +17,8 @@ def test_small_table_with_oracle():
 
 
 def test_oracle_column_respects_cap():
-    # tau(G_1) = 11, tau(G_2) = 153: a cap of 20 keeps k=1 and drops k=2
+    # Every row is attempted: G_1's search holds at most 6 trees at once and
+    # G_2's 31, so a cap of 20 keeps k=1 and drops k=2.
     rows = experiment_table(2, cap=20)
     assert rows[0].oracle_distance is not None
     assert rows[1].oracle_distance is None

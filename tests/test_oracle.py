@@ -91,6 +91,27 @@ def test_bfs_cap():
         tree_distance(graphs.C5, 0, t1, t2, cap=2)
 
 
+def test_distance_cap_counts_the_trees_held_in_the_level_sets():
+    # G_3's search holds at most 175 trees in its four level sets at once.
+    inst = make_gk(3)
+    args = (inst.graph, inst.root, inst.tree_a, inst.tree_b)
+    assert tree_distance(*args, cap=175) == 36
+    with pytest.raises(CapExceededError) as info:
+        tree_distance(*args, cap=174)
+    assert info.value.count > 174
+    # The path search keeps every tree it reached, so the same cap stops it.
+    with pytest.raises(CapExceededError):
+        shortest_tree_path(*args, cap=175)
+
+
+def test_g5_distance_fits_a_cap_that_stops_the_path_search():
+    inst = make_gk(5)
+    args = (inst.graph, inst.root, inst.tree_a, inst.tree_b)
+    assert tree_distance(*args, cap=10_000) == 100
+    with pytest.raises(CapExceededError):
+        shortest_tree_path(*args, cap=10_000)
+
+
 def test_distance_basics():
     t_star = tree_from_edges(3, [(0, 1), (0, 2)], root=0)
     t_path = tree_from_edges(3, [(0, 1), (1, 2)], root=0)

@@ -11,6 +11,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from treewalk import (  # noqa: E402
+    TreeGraphDisconnectedError,
     count_spanning_trees_kirchhoff,
     enumerate_spanning_trees,
     random_biconnected_graph,
@@ -20,6 +21,8 @@ from treewalk import (  # noqa: E402
     tree_graph_diameter,
     verify_walk,
 )
+
+from strategies import connected_graphs  # noqa: E402
 
 # Derandomized so the suite sees the same examples on every run.
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
@@ -71,6 +74,26 @@ def test_shortest_path_has_that_length_and_verifies(inst):
     assert len(seq.moves) == _reference_distance(g, a, t1, t2)
     report = verify_walk(g, a, seq, source=t1, target=t2)
     assert report.ok, report.summary()
+
+
+def _outcome(search, *args):
+    try:
+        return search(*args)
+    except TreeGraphDisconnectedError as exc:
+        return str(exc)
+
+
+@SETTINGS
+@given(connected_graphs(), st.data())
+def test_distance_search_agrees_with_the_path_search(inst, data):
+    # Cut vertices and bridges leave some pairs unreachable: both searches
+    # must then stop at the same level with the same message.
+    g, a = inst
+    trees = enumerate_spanning_trees(g, root=a)
+    t1, t2 = (trees[data.draw(st.integers(0, len(trees) - 1))] for _ in range(2))
+    path = _outcome(shortest_tree_path, g, a, t1, t2)
+    distance = _outcome(tree_distance, g, a, t1, t2)
+    assert distance == (path if isinstance(path, str) else len(path.moves))
 
 
 @st.composite
