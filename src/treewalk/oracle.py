@@ -319,17 +319,15 @@ def _meet_in_the_middle(space: _PackedTrees, start: int, goal: int, cap: int) ->
 def _search_distance(space: _PackedTrees, start: int, goal: int, cap: int) -> int:
     """Leaf-move distance from ``start`` to ``goal != start``, without a path.
 
-    Bidirectional BFS that keeps, per side, only the level before its
-    frontier and the frontier, as sets.  Each round expands the smaller
-    frontier: the union of its neighbors, less the two levels known to that
-    side, is the next level (the tree graph is undirected, so a neighbor of
-    level d lies in level d - 1, d or d + 1).  The balls searched so far are
-    disjoint, or the search would have stopped, so a new level can meet the
-    other side only in its frontier; the first meeting gives the distance.
-    ``cap`` bounds the trees held in the four level sets.
+    Bidirectional BFS keeping per side only its frontier and the level
+    before it, with ``cap`` bounding the trees in these four sets.  Each
+    round expands the smaller frontier; its neighbors less those two levels
+    form the next level, as leaf moves are reversible.  The balls searched
+    so far are disjoint, so a new level can meet the other side only in its
+    frontier, and the first meeting gives the distance.
     """
     neighbors = space.neighbors
-    # Per side: the level before the frontier, the frontier, and trees explored.
+    # Per side: the level before the frontier, the frontier, trees explored.
     sides = [[set(), {start}, 1], [set(), {goal}, 1]]
     distance = 0
     while True:
