@@ -1,4 +1,4 @@
-"""Generative checks of spanning-tree enumeration on small connected graphs."""
+"""Generative checks of spanning-tree enumeration: Kirchhoff counts and the edge-list reference."""
 
 from __future__ import annotations
 
