@@ -11,7 +11,6 @@ experiment leaves the distance of a row that hits the cap empty.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -173,7 +172,6 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-@functools.cache  # parse_args keeps no state in the parser, so one serves every call
 def _build_parser() -> _Parser:
     parser = _Parser(prog="treewalk", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

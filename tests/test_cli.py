@@ -16,7 +16,6 @@ from treewalk import (
     verify_walk,
     walk,
 )
-import treewalk.cli
 from treewalk.cli import main
 
 import graphs
@@ -225,36 +224,6 @@ def test_usage_errors(capsys):
     assert main([]) == 1
     assert main(["walk", "--graph", "g.txt"]) == 1
     capsys.readouterr()
-
-
-def _session(argvs, capsys):
-    """(exit code, stdout, stderr) of each command run in turn."""
-    out = []
-    for argv in argvs:
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # --help exits from inside argparse
-            code = exc.code
-        captured = capsys.readouterr()
-        out.append((code, captured.out, captured.err))
-    return out
-
-
-def test_the_shared_parser_answers_as_fresh_ones_do(tmp_path, capsys, monkeypatch):
-    g = _write(tmp_path, "g.txt", TRI_TEXT)
-    argvs = [
-        ["walk", "--graph", g],
-        ["stnum", "--graph", g, "0", "1"],
-        ["oracle", "distance", "--help"],
-        ["lower-bound", "--k", "x"],
-        ["--help"],
-    ]
-    shared = _session(argvs, capsys)
-    assert [code for code, _, _ in shared] == [1, 0, 0, 1, 0]
-    assert shared[1][1] == "0 2 1\n"
-    fresh = treewalk.cli._build_parser.__wrapped__
-    monkeypatch.setattr(treewalk.cli, "_build_parser", lambda: fresh())
-    assert _session(argvs, capsys) == shared
 
 
 def test_missing_file_is_reported(capsys):
