@@ -19,10 +19,8 @@ from .graph import (
     GraphFormatError,
     LeafMove,
     RootedSpanningTree,
-    apply_leaf_move,
     format_graph,
     format_tree,
-    is_spanning_tree,
     parse_graph,
     parse_tree,
     spanning_tree_violation,
@@ -74,7 +72,6 @@ __all__ = [
     "WalkAnalysis",
     "WalkReport",
     "WalkSequence",
-    "apply_leaf_move",
     "canonical_tree",
     "count_spanning_trees_kirchhoff",
     "enumerate_spanning_trees",
@@ -83,7 +80,6 @@ __all__ = [
     "format_tree",
     "format_walk_moves",
     "is_biconnected",
-    "is_spanning_tree",
     "lower_bound_value",
     "make_gk",
     "parse_graph",

@@ -1,18 +1,16 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage error, 2 validation failure, 3 state cap
-exceeded.  The environment variable TREEWALK_CAP overrides the default cap
-for the oracle and experiment commands; a --cap flag overrides both.  For a
-distance the cap bounds the trees the search holds at once, for a path the
-trees it has stored, and for a count or a diameter the trees enumerated;
-experiment leaves the distance of a row that hits the cap empty.
+exceeded.  The oracle and experiment commands take --cap, 10 million by
+default.  For a distance the cap bounds the trees the search holds at once,
+for a path the trees it has stored, and for a count or a diameter the trees
+enumerated; experiment leaves the distance of a row that hits the cap empty.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -51,39 +49,17 @@ def _read(path: str) -> str:
     return Path(path).read_text()
 
 
-def _load_graph(path: str):
-    return parse_graph(_read(path))
-
-
-def _load_tree(path: str):
-    return parse_tree(_read(path))
-
-
-def _default_cap() -> int:
-    env = os.environ.get("TREEWALK_CAP")
-    if env is None:
-        return DEFAULT_CAP
-    try:
-        return int(env)
-    except ValueError:
-        raise _UsageError(f"TREEWALK_CAP must be an integer, got {env!r}") from None
-
-
-def _cap(args) -> int:
-    return args.cap if args.cap is not None else _default_cap()
-
-
 def _cmd_stnum(args) -> int:
-    g = _load_graph(args.graph)
+    g = parse_graph(_read(args.graph))
     num = st_numbering(g, args.s, args.t)
     print(" ".join(map(str, num.order)))
     return 0
 
 
 def _cmd_walk(args) -> int:
-    g = _load_graph(args.graph)
-    t = _load_tree(args.from_tree)
-    t_prime = _load_tree(args.to_tree)
+    g = parse_graph(_read(args.graph))
+    t = parse_tree(_read(args.from_tree))
+    t_prime = parse_tree(_read(args.to_tree))
     seq = walk(g, args.root, t, t_prime)
     if args.format == "moves":
         sys.stdout.write(format_walk_moves(seq))
@@ -93,10 +69,10 @@ def _cmd_walk(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    g = _load_graph(args.graph)
+    g = parse_graph(_read(args.graph))
     seq = parse_walk_moves(_read(args.walk))
-    source = _load_tree(args.from_tree) if args.from_tree else None
-    target = _load_tree(args.to_tree) if args.to_tree else None
+    source = parse_tree(_read(args.from_tree)) if args.from_tree else None
+    target = parse_tree(_read(args.to_tree)) if args.to_tree else None
     report = verify_walk(g, seq.source.root, seq, source=source, target=target)
     print(report.summary())
     return 0 if report.ok else 2
@@ -104,7 +80,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_gen_gk(args) -> int:
     if not 1 <= args.k <= GEN_K_LIMIT:
-        raise _UsageError(f"--k must be in [1, {GEN_K_LIMIT}]")
+        raise ValueError(f"--k must be in [1, {GEN_K_LIMIT}]")
     inst = make_gk(args.k)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -124,34 +100,33 @@ def _cmd_lower_bound(args) -> int:
 
 
 def _cmd_oracle_distance(args) -> int:
-    g = _load_graph(args.graph)
-    t = _load_tree(args.from_tree)
-    t_prime = _load_tree(args.to_tree)
-    cap = _cap(args)
+    g = parse_graph(_read(args.graph))
+    t = parse_tree(_read(args.from_tree))
+    t_prime = parse_tree(_read(args.to_tree))
     if args.path:
-        seq = shortest_tree_path(g, args.root, t, t_prime, cap=cap)
+        seq = shortest_tree_path(g, args.root, t, t_prime, cap=args.cap)
         Path(args.path).write_text(format_walk_moves(seq))
         print(len(seq.moves))
     else:
-        print(tree_distance(g, args.root, t, t_prime, cap=cap))
+        print(tree_distance(g, args.root, t, t_prime, cap=args.cap))
     return 0
 
 
 def _cmd_oracle_diameter(args) -> int:
-    g = _load_graph(args.graph)
-    print(tree_graph_diameter(g, args.root, cap=_cap(args)))
+    g = parse_graph(_read(args.graph))
+    print(tree_graph_diameter(g, args.root, cap=args.cap))
     return 0
 
 
 def _cmd_oracle_count(args) -> int:
-    g = _load_graph(args.graph)
-    enumerated = len(enumerate_spanning_trees(g, root=0, cap=_cap(args)))
+    g = parse_graph(_read(args.graph))
+    enumerated = len(enumerate_spanning_trees(g, root=0, cap=args.cap))
     print(f"{enumerated} {count_spanning_trees_kirchhoff(g)}")
     return 0
 
 
 def _cmd_partition(args) -> int:
-    g = _load_graph(args.graph)
+    g = parse_graph(_read(args.graph))
     v1, v2, strategy = partition2_with_strategy(g, args.u1, args.u2, args.n1)
     print("strategy:", strategy, file=sys.stderr)
     print(" ".join(map(str, sorted(v1))))
@@ -160,7 +135,7 @@ def _cmd_partition(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    rows = experiment_table(args.kmax, cap=_cap(args))
+    rows = experiment_table(args.kmax, cap=args.cap)
     if args.json:
         for row in rows:
             print(json.dumps(row.__dict__))
@@ -215,18 +190,18 @@ def _build_parser() -> _Parser:
     p.add_argument("--from", dest="from_tree", required=True, metavar="TREE")
     p.add_argument("--to", dest="to_tree", required=True, metavar="TREE")
     p.add_argument("--path", help="also write one shortest walk to this file")
-    p.add_argument("--cap", type=int)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.set_defaults(func=_cmd_oracle_distance)
 
     p = osub.add_parser("diameter", help="largest pairwise distance over all spanning trees")
     p.add_argument("--graph", required=True)
     p.add_argument("--root", type=int, required=True)
-    p.add_argument("--cap", type=int)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.set_defaults(func=_cmd_oracle_diameter)
 
     p = osub.add_parser("count", help="print enumerated and determinant tree counts")
     p.add_argument("--graph", required=True)
-    p.add_argument("--cap", type=int)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.set_defaults(func=_cmd_oracle_count)
 
     p = sub.add_parser("partition", help="connected two-part partition with anchors and size")
@@ -238,7 +213,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("experiment", help="tabulate bound, oracle, and walk lengths per k")
     p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--cap", type=int)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_experiment)
 

@@ -19,9 +19,7 @@ class ExperimentRow:
     walk_bound: int
 
 
-def experiment_table(
-    k_max: int, cap: int = DEFAULT_CAP, with_oracle: bool = True
-) -> list[ExperimentRow]:
+def experiment_table(k_max: int, cap: int = DEFAULT_CAP) -> list[ExperimentRow]:
     """One row per instance k = 1..k_max, with every chain inequality asserted.
 
     The exact distance is attempted on every row; a row whose search would
@@ -42,12 +40,10 @@ def experiment_table(
         moves = len(seq.moves)
         bound = 2 * n * (n - 1)
         lower = lower_bound_value(k)
-        distance = None
-        if with_oracle:
-            try:
-                distance = tree_distance(g, root, inst.tree_a, inst.tree_b, cap=cap)
-            except CapExceededError:
-                pass
+        try:
+            distance = tree_distance(g, root, inst.tree_a, inst.tree_b, cap=cap)
+        except CapExceededError:
+            distance = None
         if not lower <= moves <= bound:
             raise RuntimeError(f"bound chain violated at k={k}: {lower} <= {moves} <= {bound}")
         if distance is not None and not lower <= distance <= moves:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 class GraphFormatError(ValueError):
@@ -67,8 +67,8 @@ class RootedSpanningTree:
 
     ``parents[root]`` is -1; every other slot names that vertex's parent.  The
     shape is checked here, but whether the parent map really is a spanning
-    tree of a particular graph is the job of :func:`is_spanning_tree` (the
-    array may encode a cycle, which that check rejects).
+    tree of a particular graph is the job of :func:`spanning_tree_violation`
+    (the array may encode a cycle, which that check rejects).
     """
 
     root: int
@@ -85,31 +85,12 @@ class RootedSpanningTree:
             elif not 0 <= p < n or p == v:
                 raise ValueError(f"vertex {v} has invalid parent {p}")
 
-    @classmethod
-    def from_parent_map(cls, root: int, parent_map: Mapping[int, int], n: int) -> RootedSpanningTree:
-        if len(parent_map) != n - 1:
-            raise ValueError(f"expected {n - 1} parent entries, got {len(parent_map)}")
-        parents = [-1] * n
-        for v, p in parent_map.items():
-            if v == root:
-                raise ValueError(f"root {root} may not have a parent entry")
-            if not 0 <= v < n:
-                raise ValueError(f"vertex {v} out of range")
-            parents[v] = p
-        return cls(root, tuple(parents))
-
     @property
     def n(self) -> int:
         return len(self.parents)
 
-    def to_parent_map(self) -> dict[int, int]:
-        return {v: p for v, p in enumerate(self.parents) if v != self.root}
-
     def edges(self) -> frozenset[tuple[int, int]]:
         return frozenset(_norm(v, p) for v, p in enumerate(self.parents) if v != self.root)
-
-    def is_leaf(self, v: int) -> bool:
-        return all(p != v for w, p in enumerate(self.parents) if w != self.root)
 
 
 class _LeafMoveFields(NamedTuple):
@@ -138,9 +119,6 @@ class LeafMove(_LeafMoveFields):
         # The named-tuple default skips __new__; _replace goes through here too.
         return cls(*iterable)
 
-    def reversed(self) -> LeafMove:
-        return LeafMove(self.vertex, self.new_parent, self.old_parent)
-
 
 def _child_counts(parents: Sequence[int]) -> list[int]:
     """Number of children of each vertex in a parent array (the root's -1 counts for none)."""
@@ -151,13 +129,8 @@ def _child_counts(parents: Sequence[int]) -> list[int]:
     return kids
 
 
-def is_spanning_tree(g: Graph, t: RootedSpanningTree) -> bool:
-    """True iff ``t`` is a spanning tree of ``g`` rooted at ``t.root``."""
-    return spanning_tree_violation(g, t) is None
-
-
 def spanning_tree_violation(g: Graph, t: RootedSpanningTree) -> str | None:
-    """Diagnostic twin of :func:`is_spanning_tree`: first violated invariant or None."""
+    """The first invariant that keeps ``t`` from being a spanning tree of ``g``, or None."""
     n = g.n
     if t.n != n:
         return f"vertex count mismatch: tree has {t.n}, graph has {n}"
@@ -186,33 +159,6 @@ def spanning_tree_violation(g: Graph, t: RootedSpanningTree) -> str | None:
         for w in chain:
             state[w] = 1
     return None
-
-
-def apply_leaf_move(t: RootedSpanningTree, move: LeafMove, g: Graph) -> RootedSpanningTree:
-    """Apply one leaf move, validating every precondition.
-
-    A move with new_parent == old_parent is permitted and returns an equal tree.
-    """
-    v = move.vertex
-    if v == t.root:
-        raise ValueError(f"cannot move the root vertex {v}")
-    if not 0 <= v < t.n:
-        raise ValueError(f"vertex {v} out of range")
-    if t.parents[v] != move.old_parent:
-        raise ValueError(
-            f"old parent mismatch for vertex {v}: tree has {t.parents[v]}, move says {move.old_parent}"
-        )
-    if not t.is_leaf(v):
-        raise ValueError(f"vertex {v} is not a leaf")
-    if not g.has_edge(v, move.new_parent):
-        raise ValueError(f"({v}, {move.new_parent}) is not a graph edge")
-    parents = list(t.parents)
-    parents[v] = move.new_parent
-    result = RootedSpanningTree(t.root, tuple(parents))
-    problem = spanning_tree_violation(g, result)
-    if problem is not None:
-        raise ValueError(f"result is not a spanning tree: {problem}")
-    return result
 
 
 def _check_tree_pair(g: Graph, a: int, t: RootedSpanningTree, t_prime: RootedSpanningTree) -> None:
@@ -472,5 +418,5 @@ def parse_tree(text: str) -> RootedSpanningTree:
 
 def format_tree(t: RootedSpanningTree) -> str:
     lines = [f"{t.n} {t.root}"]
-    lines.extend(f"{v} {p}" for v, p in sorted(t.to_parent_map().items()))
+    lines.extend(f"{v} {p}" for v, p in enumerate(t.parents) if v != t.root)
     return "\n".join(lines) + "\n"

@@ -50,7 +50,7 @@ def _report(num: int, ok: bool, detail: str) -> None:
 @functools.cache
 def _table25():
     """Walks for k = 1..25, shared by criteria 2 and 5."""
-    return experiment_table(25, with_oracle=False)
+    return experiment_table(25, cap=0)
 
 
 def _criterion_1_corpus():

@@ -2,7 +2,11 @@ from __future__ import annotations
 
 import io
 import json
+import shlex
 import sys
+from pathlib import Path
+
+import pytest
 
 from treewalk import (
     format_graph,
@@ -124,8 +128,24 @@ def test_gen_gk_round_trip(tmp_path, capsys):
 
 
 def test_gen_gk_rejects_huge_k(tmp_path, capsys):
-    assert main(["gen-gk", "--k", "99999", "--out-dir", str(tmp_path)]) == 1
-    assert "error:" in capsys.readouterr().err
+    assert main(["gen-gk", "--k", "99999", "--out-dir", str(tmp_path / "inst")]) == 2
+    assert capsys.readouterr().err == "error: --k must be in [1, 10000]\n"
+    assert not (tmp_path / "inst").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen-gk", "--k", "0", "--out-dir", "inst"], "--k must be in [1, 10000]"),
+        (["lower-bound", "--k", "-3"], "k must be positive, got -3"),
+        (["experiment", "--kmax", "0"], "k_max must be positive, got 0"),
+    ],
+)
+def test_a_number_the_command_rejects_is_a_validation_failure(argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (tmp_path / "inst").exists()
 
 
 def test_lower_bound(capsys):
@@ -184,15 +204,6 @@ def test_cap_flag_exceeded(tmp_path, capsys):
     g = _write(tmp_path, "g.txt", format_graph(graphs.K5))
     assert main(["oracle", "count", "--graph", g, "--cap", "10"]) == 3
     assert "ERROR cap-exceeded" in capsys.readouterr().err
-
-
-def test_cap_env_var(tmp_path, capsys, monkeypatch):
-    g = _write(tmp_path, "g.txt", format_graph(graphs.K5))
-    monkeypatch.setenv("TREEWALK_CAP", "10")
-    assert main(["oracle", "count", "--graph", g]) == 3
-    monkeypatch.setenv("TREEWALK_CAP", "not-a-number")
-    assert main(["oracle", "count", "--graph", g]) == 1
-    assert "TREEWALK_CAP" in capsys.readouterr().err
 
 
 def test_partition_output(tmp_path, capsys):
@@ -265,3 +276,33 @@ def test_oracle_distance_disconnected_tree_graph(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: no leaf-move path found after exploring 2 trees\n"
+
+
+def _readme_transcript() -> list[tuple[list[str], list[str]]]:
+    """(argv, expected output lines) for each ``$ treewalk`` command in the README's Command line block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```\n", 2)[1]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        if line.startswith("$ treewalk "):
+            commands.append((shlex.split(line[len("$ treewalk "):]), []))
+        elif line:
+            commands[-1][1].append(line)
+    return commands
+
+
+def test_readme_command_line_transcript(tmp_path, monkeypatch, capsys):
+    # The README shows spaces where experiment prints tabs, so lines are
+    # compared field by field.  partition reports its strategy on stderr.
+    monkeypatch.chdir(tmp_path)
+    transcript = _readme_transcript()
+    assert len(transcript) == 8
+    for argv, expected in transcript:
+        redirect = argv.index(">") if ">" in argv else None
+        assert main(argv[:redirect]) == 0, argv
+        out, err = capsys.readouterr()
+        if redirect is not None:
+            Path(argv[redirect + 1]).write_text(out)
+            out = ""
+        got = err.splitlines() + out.splitlines()
+        assert [line.split() for line in got] == [line.split() for line in expected], argv

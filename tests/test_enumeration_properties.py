@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from treewalk import (  # noqa: E402
     count_spanning_trees_kirchhoff,
     enumerate_spanning_trees,
-    is_spanning_tree,
     make_gk,
+    spanning_tree_violation,
 )
 
 from graphs import reference_enumeration  # noqa: E402
@@ -26,7 +26,7 @@ def test_enumeration_lists_each_spanning_tree_once(inst):
     g, root = inst
     trees = enumerate_spanning_trees(g, root=root)
     assert len({t.parents for t in trees}) == len(trees)
-    assert all(t.root == root and is_spanning_tree(g, t) for t in trees)
+    assert all(t.root == root and spanning_tree_violation(g, t) is None for t in trees)
     assert len(trees) == count_spanning_trees_kirchhoff(g)
 
 

@@ -25,7 +25,7 @@ def test_oracle_column_respects_cap():
 
 
 def test_oracle_can_be_disabled():
-    rows = experiment_table(4, with_oracle=False)
+    rows = experiment_table(4, cap=0)
     assert all(r.oracle_distance is None for r in rows)
     assert all(r.lower_bound <= r.walk_moves <= r.walk_bound for r in rows)
 

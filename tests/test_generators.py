@@ -6,9 +6,9 @@ import pytest
 
 from treewalk import (
     is_biconnected,
-    is_spanning_tree,
     random_biconnected_graph,
     random_spanning_tree,
+    spanning_tree_violation,
 )
 
 import graphs
@@ -50,7 +50,7 @@ def test_random_trees_are_spanning_trees():
         root = rng.randrange(g.n)
         t = random_spanning_tree(g, root, rng)
         assert t.root == root
-        assert is_spanning_tree(g, t)
+        assert spanning_tree_violation(g, t) is None
 
 
 def test_random_tree_determinism_and_variety():

@@ -15,13 +15,13 @@ from treewalk import (
     WalkSequence,
     count_spanning_trees_kirchhoff,
     enumerate_spanning_trees,
-    is_spanning_tree,
     lower_bound_value,
     make_gk,
     random_biconnected_graph,
     random_spanning_tree,
     removal_times,
     shortest_tree_path,
+    spanning_tree_violation,
     tree_distance,
     tree_from_edges,
     tree_graph_diameter,
@@ -41,7 +41,7 @@ def test_enumeration_matches_known_counts():
         assert len(keys) == len(trees), f"{name}: duplicate trees"
         for t in trees:
             assert t.root == 0
-            assert is_spanning_tree(g, t)
+            assert spanning_tree_violation(g, t) is None
 
 
 def test_kirchhoff_matches_known_counts():

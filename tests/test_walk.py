@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import gc
+import importlib
 import os
 import random
 import subprocess
@@ -252,6 +253,32 @@ def test_every_module_level_name_is_public_or_used_in_the_package():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used
     ]
     assert not unused, f"neither in treewalk.__all__ nor used in src/treewalk: {unused}"
+
+    # A public method must be called as an attribute by the package or the
+    # benchmark; one that overrides a base-class method is called by the base.
+    bench = [f for f in (package.parents[1] / "perfbench").glob("*.py") if not f.name.startswith("test_")]
+    attributes = {
+        node.attr
+        for tree in [*trees.values(), *(ast.parse(f.read_text()) for f in bench)]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+    }
+    unused = []
+    for name, tree in trees.items():
+        module = importlib.import_module(f"treewalk.{name.removesuffix('.py')}".removesuffix(".__init__"))
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            bases = getattr(module, node.name).__mro__[1:]
+            unused += [
+                f"{name}:{node.name}.{method.name}"
+                for method in node.body
+                if isinstance(method, ast.FunctionDef)
+                and not method.name.startswith("_")
+                and method.name not in attributes
+                and not any(hasattr(base, method.name) for base in bases)
+            ]
+    assert not unused, f"public methods no package or benchmark code calls: {unused}"
 
 
 def test_walk_from_canonical_triangle():
