@@ -168,17 +168,36 @@ def count_spanning_trees_kirchhoff(g: Graph) -> int:
     diagonal, so its pivot is exactly 0 and 0 is returned.)  An updated
     entry is folded at bit e of P = 2^e - 1, as 2^e = 1 mod P, which keeps
     it within P + 5 of 0 without a division; pivots and pivot rows are
-    reduced fully.  Raises ``ValueError`` when H reaches the largest tabled
-    prime.
+    reduced fully.
+
+    Vertices of degree 1 are peeled off first, and then those that drop to
+    degree 1, as every spanning tree holds their one edge: the count is
+    unchanged.  All of the above is then said of the peeled graph, with its
+    lowest remaining vertex in the place of vertex 0 and degrees counted in
+    it, so a tree counts 1 at any size.  Raises ``ValueError`` when H still
+    reaches the largest tabled prime, as on a cycle of more than 11,213
+    vertices.
     """
     adj = g.adj
-    p = _mersenne_modulus(prod(map(len, adj[1:])))
+    degree = list(map(len, adj))
+    gone = [False] * g.n
+    leaves = [v for v in range(g.n) if degree[v] == 1]
+    for v in leaves:  # grows while it is read
+        if degree[v] != 1:
+            continue  # its last neighbor was peeled off before it
+        gone[v] = True
+        u = next(w for w in adj[v] if not gone[w])
+        degree[u] -= 1
+        if degree[u] == 1:
+            leaves.append(u)
+    kept = [v for v in range(g.n) if not gone[v]]
+    gone[kept[0]] = True  # the deleted row and column
+    p = _mersenne_modulus(prod(map(degree.__getitem__, kept[1:])))
     e = p.bit_length()
     rows: list[dict[int, int] | None] = [None] * g.n
-    for v in range(1, g.n):
-        row = dict.fromkeys(adj[v], -1)
-        row.pop(0, None)
-        row[v] = len(adj[v])
+    for v in kept[1:]:
+        row = dict.fromkeys([w for w in adj[v] if not gone[w]], -1)
+        row[v] = degree[v]
         rows[v] = row
     heap = [(len(row), v) for v, row in enumerate(rows) if row is not None]
     heapify(heap)

@@ -43,8 +43,10 @@ from .graph import (
 class LeafClaimError(AssertionError):
     """A vertex scheduled for reattachment still had children.
 
-    This cannot happen if the construction is correct; the check stays on in
-    production builds because it certifies every emitted move.
+    This cannot happen if the construction is correct.  The claim is
+    certified per stage, in production builds too: a stage either passes a
+    certificate under which every vertex it detaches is a leaf, or runs move
+    by move and tests each vertex before it is detached.
     """
 
     def __init__(self, vertex: int, parents: tuple[int, ...]):
@@ -206,7 +208,7 @@ def _canonical(g: Graph, num: STNumbering) -> tuple[RootedSpanningTree, tuple[li
     return tree, ext
 
 
-def _advance_stage(
+def _stage_by_moves(
     parents: list[int],
     kids: list[int],
     dropped: list[int],
@@ -215,15 +217,13 @@ def _advance_stage(
     ext: tuple[list[int], list[int]],
     moves: array,
 ) -> None:
-    """One stage in place on ``parents``/``kids``: absorb ``newcomer`` below ``anchor``.
+    """One stage move by move, testing each vertex it detaches for children.
 
-    ``dropped`` holds the outside vertices positioned before the newcomer, in
-    ascending positions.  Each drops to its lowest-positioned neighbor, then
-    the newcomer attaches to its anchor, then in descending positions the
-    dropped vertices return to their highest-positioned neighbors.  The
-    last-positioned vertex is never dropped: it follows every other outside
-    vertex, so it can only be the newcomer.  Moves go to the store ``moves``;
-    those whose new parent equals the current parent are elided.
+    Each vertex of ``dropped``, in ascending positions, drops to its
+    lowest-positioned neighbor, then the newcomer attaches to its anchor,
+    then in descending positions the dropped vertices return to their
+    highest-positioned neighbors.  Moves whose new parent equals the current
+    parent are elided.
     """
     lo, hi = ext
     schedule = [(v, lo[v]) for v in dropped]
@@ -243,23 +243,87 @@ def _advance_stage(
             append(new_parent)
 
 
+def _advance_stage(
+    parents: list[int],
+    kids: list[int],
+    newcomer: int,
+    anchor: int,
+    ext: tuple[list[int], list[int]],
+    tables: tuple[list[int], array, array, list[int]],
+    moves: array,
+) -> None:
+    """One stage in place on ``parents``/``kids``: absorb ``newcomer`` below ``anchor``.
+
+    ``tables`` describe the vertices absorbed so far, and are updated to
+    absorb the newcomer too.  ``outside`` lists the other vertices in
+    ascending positions; ``down`` holds the move (v, hi[v], lo[v]) of each
+    in that order, and ``up`` is ``down`` reversed with each move undone;
+    ``rank[v]`` is the position of v, or n + 1 once v is absorbed.  The dropped
+    vertices are the outside ones positioned before the newcomer.  The last
+    vertex is never dropped: it follows every other outside vertex, so it
+    can only be the newcomer.  The stage's moves go to the store ``moves``.
+
+    The leaf claim is certified per stage.  If the dropped vertices sit on
+    their highest-positioned neighbors, the anchor is absorbed, and every
+    child of a dropped vertex or of the newcomer is dropped, then each
+    vertex detaches as a leaf: a dropped vertex leaves after its children,
+    which sit below it, and returns after the vertices that dropped onto
+    it, which sit above it; nothing drops onto the newcomer, which sits
+    above every dropped vertex.  The moves are then the dropped vertices'
+    block of ``down``, the newcomer's move unless it already hangs from its
+    anchor, and their block of ``up``.  Without the certificate the stage
+    runs move by move (:func:`_stage_by_moves`), which raises
+    :class:`LeafClaimError` at the first vertex that is not a leaf.
+    """
+    outside, down, up, rank = tables
+    i = outside.index(newcomer)
+    m = len(outside)
+    n = len(rank)
+    dropped = outside[:i]
+    above = list(map(parents.__getitem__, dropped))
+    # With every dropped vertex on its highest neighbor, the children of the
+    # dropped vertices and the newcomer that are themselves dropped are the
+    # dropped vertices whose parent is outside and at most the newcomer's
+    # position; the certificate asks for no other children.
+    if (
+        rank[anchor] > n
+        and above == list(map(ext[1].__getitem__, dropped))
+        and sum(map(kids.__getitem__, dropped)) + kids[newcomer]
+        == sum(map(rank[newcomer].__ge__, map(rank.__getitem__, above)))
+    ):
+        moves += down[:3 * i]
+        old = parents[newcomer]
+        if old != anchor:
+            parents[newcomer] = anchor
+            kids[old] -= 1
+            kids[anchor] += 1
+            moves.extend((newcomer, old, anchor))
+        moves += up[3 * (m - i):]
+    else:
+        _stage_by_moves(parents, kids, dropped, newcomer, anchor, ext, moves)
+    del outside[i]
+    del down[3 * i:3 * i + 3]
+    del up[3 * (m - 1 - i):3 * (m - i)]
+    rank[newcomer] = n + 1
+
+
 def walk_from_canonical(
     g: Graph, num: STNumbering, t_prime: RootedSpanningTree
 ) -> WalkSequence:
     """Walk from the canonical tree for ``num`` to ``t_prime`` in at most n(n-1) moves.
 
-    All n-1 stages advance one parent array in place, and each costs
-    O(its moves + log n).  The absorbed set stays connected in ``t_prime``
-    and contains the root, so the target-tree edges leaving it are exactly
-    those to the target children of absorbed vertices; a heap of those
-    children keyed by descending position yields the newcomer, the
-    highest-positioned outside end of such an edge.  The vertices not yet
-    absorbed are kept in ascending positions, so the dropped vertices of a
-    stage are the ones before its newcomer.  Each stage ends with an exact
-    comparison against the milestone parent array, which differs from the
-    previous milestone only at the newcomer.  Raises ValueError unless
-    ``num`` is an st-numbering of ``g`` and ``t_prime`` is a spanning tree
-    of ``g`` rooted at the numbering's first vertex.
+    All n-1 stages advance one parent array in place.  Each stage takes its
+    moves as slices of two move tables built once per walk, after a
+    certificate of C-level passes over its dropped vertices (see
+    :func:`_advance_stage`).  The absorbed set stays connected in
+    ``t_prime`` and contains the root, so the target-tree edges leaving it
+    are exactly those to the target children of absorbed vertices; a heap
+    of those children keyed by descending position yields the newcomer, the
+    highest-positioned outside end of such an edge.  Each stage ends with
+    an exact comparison against the milestone parent array, which differs
+    from the previous milestone only at the newcomer.  Raises ValueError
+    unless ``num`` is an st-numbering of ``g`` and ``t_prime`` is a
+    spanning tree of ``g`` rooted at the numbering's first vertex.
     """
     root = num.order[0]
     if t_prime.root != root:
@@ -268,9 +332,21 @@ def walk_from_canonical(
     if problem is not None:
         raise ValueError(f"target tree invalid: {problem}")
     start, ext = _canonical(g, num)
+    return WalkSequence(start, _canonical_moves(num, start, ext, t_prime))
+
+
+def _canonical_moves(
+    num: STNumbering,
+    start: RootedSpanningTree,
+    ext: tuple[list[int], list[int]],
+    t_prime: RootedSpanningTree,
+) -> array:
+    """The moves of the canonical walk from ``start`` to ``t_prime``, on checked inputs."""
+    moves = array("i")
     if t_prime == start:
-        return WalkSequence(start, ())
-    n = g.n
+        return moves
+    root = num.order[0]
+    n = num.n
     pos = num.positions
     target = t_prime.parents
     children: list[list[int]] = [[] for _ in range(n)]
@@ -280,16 +356,18 @@ def walk_from_canonical(
     parents = list(start.parents)
     milestone = list(parents)
     kids = _child_counts(parents)
+    lo, hi = ext
     outside = list(num.order[1:])
+    down = array("i", [x for v in outside for x in (v, hi[v], lo[v])])
+    rank = list(pos)
+    rank[root] = n + 1
+    tables = (outside, down, _reversed_moves(down), rank)
     boundary = [(-pos[c], c) for c in children[root]]
     heapify(boundary)
-    moves = array("i")
     while boundary:
         newcomer = heappop(boundary)[1]
         anchor = target[newcomer]
-        i = outside.index(newcomer)
-        _advance_stage(parents, kids, outside[:i], newcomer, anchor, ext, moves)
-        del outside[i]
+        _advance_stage(parents, kids, newcomer, anchor, ext, tables, moves)
         milestone[newcomer] = anchor
         if parents != milestone:
             raise AssertionError(f"stage absorbing {newcomer} missed its milestone tree")
@@ -300,7 +378,7 @@ def walk_from_canonical(
     count = len(moves) // 3
     if count > n * (n - 1):
         raise AssertionError(f"canonical walk has {count} moves, over n(n-1) = {n * (n - 1)}")
-    return WalkSequence(start, moves)
+    return moves
 
 
 def walk(
@@ -309,15 +387,18 @@ def walk(
     """Walk between two spanning trees rooted at ``a`` via the canonical tree.
 
     The result starts exactly at ``t``, ends exactly at ``t_prime``, and
-    has at most 2n(n-1) moves.
+    has at most 2n(n-1) moves.  Each tree is checked once, and the
+    canonical tree and its extreme-neighbor tables are built once for both
+    halves.
     """
     _check_tree_pair(g, a, t, t_prime)
     if t == t_prime:
         return WalkSequence(t, ())
     mate = min(g.adj[a])
     num = st_numbering(g, a, mate)
-    moves = _reversed_moves(walk_from_canonical(g, num, t)._flat)
-    moves += walk_from_canonical(g, num, t_prime)._flat
+    start, ext = _canonical(g, num)
+    moves = _reversed_moves(_canonical_moves(num, start, ext, t))
+    moves += _canonical_moves(num, start, ext, t_prime)
     return WalkSequence(t, moves)
 
 
@@ -393,7 +474,7 @@ def verify_walk(
     certified = full_check(0, first)
     it = iter(seq._flat)
     for idx, (v, claimed, new) in enumerate(zip(it, it, it)):
-        if v == root or not (0 <= v < size and 0 <= new < size):
+        if v == root or v == new or not (0 <= v < size and 0 <= new < size):
             issues.append(f"step {idx}: move {v} {claimed} {new} cannot be applied")
             continue
         old = parents[v]

@@ -1,11 +1,12 @@
 """The per-stage reference for ``walk_from_canonical``.
 
 Each stage is computed from scratch, straight from its definition: the
-newcomer by a scan of the target tree, the dropped vertices by a scan of
-the numbering, and the result checked against a fresh milestone parent
-array.  The moves themselves come from the package's ``_advance_stage``, so
-its leaf claims and the numbering check are exercised through this module
-too.  ``walk_from_canonical`` must emit exactly the concatenated moves.
+newcomer by a scan of the target tree, the vertices not yet absorbed and
+their moves by a scan of the numbering, and the result checked against a
+fresh milestone parent array.  The moves themselves come from the
+package's ``_advance_stage``, fed those tables, so its leaf claims and the
+numbering check are exercised through this module too.
+``walk_from_canonical`` must emit exactly the concatenated moves.
 """
 
 from __future__ import annotations
@@ -100,6 +101,24 @@ def select_boundary_edge(
     return best_anchor, best_newcomer
 
 
+def stage_tables(
+    num: STNumbering, ext: tuple[list[int], list[int]], inside: set[int]
+) -> tuple[list[int], array, array, list[int]]:
+    """The tables ``_advance_stage`` reads, straight from their definitions.
+
+    The vertices outside ``inside`` in ascending positions; per such vertex
+    v, in that order, the move (v, hi[v], lo[v]) down; the moves back up,
+    (v, lo[v], hi[v]) in descending positions; and every position, with
+    n + 1 for a vertex in ``inside``.
+    """
+    lo, hi = ext
+    outside = [v for v in num.order if v not in inside]
+    down = array("i", [x for v in outside for x in (v, hi[v], lo[v])])
+    up = array("i", [x for v in reversed(outside) for x in (v, lo[v], hi[v])])
+    rank = [num.n + 1 if v in inside else p for v, p in enumerate(num.positions)]
+    return outside, down, up, rank
+
+
 def gap_sequence(
     t_k: RootedSpanningTree,
     members: Iterable[int],
@@ -114,12 +133,11 @@ def gap_sequence(
     """
     anchor, newcomer = select_boundary_edge(t_prime, members, num)
     inside = set(members)
-    pos = num.positions
-    dropped = [v for v in num.order if v not in inside and pos[v] < pos[newcomer]]
     ext = _extreme_neighbors(g, num)
     parents = list(t_k.parents)
     flat = array("i")
-    _advance_stage(parents, _child_counts(parents), dropped, newcomer, anchor, ext, flat)
+    _advance_stage(parents, _child_counts(parents), newcomer, anchor, ext,
+                   stage_tables(num, ext, inside), flat)
     inside.add(newcomer)
     if parents != _milestone_parents(g, num, inside, t_prime.parents, ext[1]):
         raise AssertionError(f"stage absorbing {newcomer} missed its milestone tree")

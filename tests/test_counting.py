@@ -111,8 +111,49 @@ def test_modulus_is_the_smallest_tabled_prime_above_the_bound():
 
 
 def test_count_refuses_a_degree_product_past_the_table():
-    # On a path rooted at one end, H = 2^(n-2): past 2^11213 - 1 for this n.
-    n = _MERSENNE_EXPONENTS[-1] + 2
-    path = Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+    # A cycle keeps every vertex when degree-1 vertices are peeled, and
+    # rooted at any vertex H = 2^(n-1): past 2^11213 - 1 for this n.
+    n = _MERSENNE_EXPONENTS[-1] + 1
+    cycle = Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)] + [(0, n - 1)])
     with pytest.raises(ValueError, match="above the largest"):
-        count_spanning_trees_kirchhoff(path)
+        count_spanning_trees_kirchhoff(cycle)
+
+
+def test_trees_past_the_table_count_one():
+    # Degree products of 11,999 bits (the path P_12000) and about 15,800 bits
+    # (the complete binary tree on 20,000 vertices); peeling leaves one vertex.
+    path = Graph.from_edges(12_000, [(v, v + 1) for v in range(11_999)])
+    heap = Graph.from_edges(20_000, [((v - 1) // 2, v) for v in range(1, 20_000)])
+    for g, bits in ((path, 11_999), (heap, 15_848)):
+        assert _degree_product(g).bit_length() == bits
+        assert count_spanning_trees_kirchhoff(g) == 1
+
+
+def _cycle_with_pendant_paths(length: int, paths: list[tuple[int, int]]) -> Graph:
+    """The cycle 0..length-1 with, per (cycle vertex, k), a path of k new vertices hung from it."""
+    edges = [(v, v + 1) for v in range(length - 1)] + [(0, length - 1)]
+    n = length
+    for at, k in paths:
+        for v in range(n, n + k):
+            edges.append((at if v == n else v - 1, v))
+        n += k
+    return Graph.from_edges(n, edges)
+
+
+def test_a_cycle_with_pendant_paths_counts_its_length():
+    g = _cycle_with_pendant_paths(40, [(0, 3), (5, 1), (5, 2), (39, 10)])
+    assert count_spanning_trees_kirchhoff(g) == 40
+    big = _cycle_with_pendant_paths(1_000, [(0, 12_000), (500, 1)])
+    assert _degree_product(big).bit_length() > _MERSENNE_EXPONENTS[-1]
+    assert count_spanning_trees_kirchhoff(big) == 1_000
+
+
+def test_peeling_vertex_zero_keeps_the_count():
+    # Vertex 0 hangs off a triangle by a path, and off K4 in a second graph
+    # that also has a pendant tree; the dense reference keeps vertex 0.
+    tail = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (3, 5)])
+    k4 = [(u, v) for v in range(1, 5) for u in range(1, v)]
+    bushy = Graph.from_edges(8, [(0, 1)] + k4 + [(4, 5), (5, 6), (5, 7)])
+    two_trees = Graph.from_edges(4, [(0, 1), (2, 3)])
+    for g, count in ((tail, 3), (bushy, 16), (two_trees, 0)):
+        assert count_spanning_trees_kirchhoff(g) == count == graphs.bareiss_count(g)

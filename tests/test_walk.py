@@ -184,10 +184,14 @@ def test_walk_from_canonical_milestone_check_survives_optimized_mode():
     # on its canonical parent 2, which misses the first milestone (1 under 0),
     # and a numbering that is not an st-numbering is rejected up front.
     # st_numbering checks its own result, and a graph file the bulk reader
-    # turns down still gets the line reader's exact message.
+    # turns down still gets the line reader's exact message.  The corrupt
+    # state of test_gap_sequence_leaf_claim_fires_on_corrupt_state fails its
+    # stage's certificate, and the moves it then runs break the leaf claim.
     code = (
         "import sys\n"
         "import treewalk.connectivity\n"
+        "from stages import gap_sequence\n"
+        "from treewalk import LeafClaimError\n"
         "from treewalk import Graph, RootedSpanningTree, STNumbering, parse_graph, st_numbering,"
         " walk_from_canonical\n"
         "print(sys.flags.optimize)\n"
@@ -212,9 +216,15 @@ def test_walk_from_canonical_milestone_check_survives_optimized_mode():
         "        parse_graph(text)\n"
         "    except ValueError as exc:\n"
         "        print('raised:', exc)\n"
+        "bad_state = RootedSpanningTree(0, (-1, 0, 1, 0))\n"
+        "try:\n"
+        "    gap_sequence(bad_state, {0}, target, STNumbering((0, 1, 2, 3)), g)\n"
+        "except LeafClaimError as exc:\n"
+        "    print('raised:', exc)\n"
     )
     src = str(Path(treewalk.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    tests = str(Path(__file__).resolve().parent)
+    path = os.pathsep.join(p for p in (src, tests, os.environ.get("PYTHONPATH")) if p)
     out = subprocess.run(
         [sys.executable, "-O", "-c", code],
         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path},
@@ -225,6 +235,7 @@ def test_walk_from_canonical_milestone_check_survives_optimized_mode():
     assert out[3] == "raised: st_numbering built an invalid order for (0, 1)"
     assert out[4] == "raised: line 2: edge (0, 9) out of range for n=3"
     assert out[5] == "raised: line 3: duplicate edge (1, 0)"
+    assert out[6] == "raised: vertex 1 is not a leaf in (-1, 0, 1, 0)"
 
 
 def test_no_assert_statements_in_the_package():
@@ -437,6 +448,19 @@ def test_verify_walk_flags_invalid_tree():
     # the tree after the bad step is re-checked in full, and the walk back is clean
     back = WalkSequence(path, (LeafMove(3, 2, 1), LeafMove(3, 1, 2)))
     assert verify_walk(graphs.C4, 0, back).issues == report.issues
+
+
+def test_verify_walk_reports_a_self_parent_move():
+    # A raw move store can hang a vertex from itself.  Such a move cannot be
+    # applied, first or after a valid move, and leaves the tree as it was.
+    path = RootedSpanningTree(0, (-1, 0, 1, 2))
+    report = verify_walk(graphs.C4, 0, WalkSequence(path, array("i", [3, 2, 3])), target=path)
+    assert report.issues == ("step 0: move 3 2 3 cannot be applied",)
+    assert report.target_matches and report.tree_count == 2
+    after = WalkSequence(path, array("i", [3, 2, 0, 3, 0, 3]))
+    report = verify_walk(graphs.C4, 0, after, target=RootedSpanningTree(0, (-1, 0, 1, 0)))
+    assert report.issues == ("step 1: move 3 0 3 cannot be applied",)
+    assert report.target_matches and report.tree_count == 3
 
 
 def test_verify_walk_flags_endpoint_mismatch():

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import importlib
 import random
+from array import array
+from unittest import mock
 
 import pytest
 
@@ -26,8 +29,13 @@ from treewalk import (  # noqa: E402
     walk,
     walk_from_canonical,
 )
-from stages import gap_sequence, select_boundary_edge  # noqa: E402
-from treewalk.walk import _parse_bulk  # noqa: E402
+from stages import gap_sequence, milestone_tree, select_boundary_edge, stage_tables  # noqa: E402
+from treewalk.connectivity import _extreme_neighbors  # noqa: E402
+from treewalk.graph import _child_counts  # noqa: E402
+from treewalk.walk import LeafClaimError, _advance_stage, _parse_bulk, _stage_by_moves  # noqa: E402
+
+# The module itself: the package exports a function of the same name.
+walk_module = importlib.import_module("treewalk.walk")
 
 # Derandomized so the suite sees the same examples on every run.
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -132,6 +140,74 @@ def test_canonical_walk_equals_the_stage_reference(inst):
             expected.extend(moves)
             members.add(newcomer)
     assert walk_from_canonical(g, num, target).moves == tuple(expected)
+
+
+@st.composite
+def stage_states(draw):
+    """(graph, numbering, absorbed set, parents, newcomer, anchor, corrupted).
+
+    The state is the milestone tree after a drawn number of a canonical
+    walk's stages, with the next stage's newcomer and anchor.  Half the
+    time each, one to three parents, the newcomer (any outside vertex) and
+    the anchor (a dropped vertex or any vertex) are then redrawn, which
+    often breaks the stage's certificate and sometimes its leaf claim.
+    """
+    g, num, target = draw(canonical_instances())
+    root = num.order[0]
+    members = {root}
+    for _ in range(draw(st.integers(0, g.n - 2))):
+        members.add(select_boundary_edge(target, members, num)[1])
+    anchor, newcomer = select_boundary_edge(target, members, num)
+    parents = list(milestone_tree(g, num, members, target).parents)
+    vertex = st.integers(0, g.n - 1)
+    corrupted = False
+    if draw(st.booleans()):
+        for v in draw(st.lists(vertex.filter(lambda v: v != root), min_size=1, max_size=3)):
+            parents[v] = draw(vertex)
+        corrupted = True
+    outside = [v for v in num.order if v not in members]
+    if draw(st.booleans()):
+        newcomer = draw(st.sampled_from(outside))
+        corrupted = True
+    if draw(st.booleans()):
+        # A dropped vertex as the anchor breaks the leaf claim on the way back up.
+        dropped = outside[:outside.index(newcomer)]
+        anchor = draw(st.sampled_from(dropped) if dropped and draw(st.booleans()) else vertex)
+        corrupted = True
+    return g, num, members, parents, newcomer, anchor, corrupted
+
+
+def _stage_outcome(run, parents):
+    """(moves, parents, kids) after ``run`` on a copy of ``parents``, or the leaf claim it broke."""
+    parents = list(parents)
+    kids = _child_counts(parents)
+    moves = array("i")
+    try:
+        run(parents, kids, moves)
+    except LeafClaimError as exc:
+        return exc.vertex, exc.parents
+    return moves, parents, kids
+
+
+@settings(SETTINGS, max_examples=300)
+@given(stage_states())
+def test_a_stage_agrees_with_its_move_by_move_schedule(state):
+    g, num, members, parents, newcomer, anchor, corrupted = state
+    ext = _extreme_neighbors(g, num)
+    pos = num.positions
+    dropped = [v for v in num.order if v not in members and pos[v] < pos[newcomer]]
+    with mock.patch.object(walk_module, "_stage_by_moves", wraps=_stage_by_moves) as fallback:
+        staged = _stage_outcome(
+            lambda p, k, m: _advance_stage(p, k, newcomer, anchor, ext,
+                                           stage_tables(num, ext, members), m),
+            parents,
+        )
+    by_moves = _stage_outcome(
+        lambda p, k, m: _stage_by_moves(p, k, dropped, newcomer, anchor, ext, m), parents
+    )
+    assert staged == by_moves
+    if not corrupted:
+        assert fallback.call_count == 0  # a milestone state passes the certificate
 
 
 @st.composite
