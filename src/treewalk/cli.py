@@ -224,6 +224,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "cap", 0) < 0:
+            raise ValueError(f"--cap must be non-negative, got {args.cap}")
         return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

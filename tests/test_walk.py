@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import copy
 import gc
 import importlib
 import os
@@ -36,9 +37,11 @@ from treewalk import (
     walk,
     walk_from_canonical,
 )
-from treewalk.graph import GraphFormatError
+from treewalk.connectivity import _extreme_neighbors
+from treewalk.graph import GraphFormatError, _child_counts
+from treewalk.walk import _advance_stage
 import graphs
-from stages import gap_sequence, milestone_tree, select_boundary_edge
+from stages import gap_sequence, milestone_tree, select_boundary_edge, stage_tables
 
 TRI_NUM = STNumbering((0, 1, 2))
 TRI_TARGET = RootedSpanningTree(0, (-1, 0, 1))  # path 0-1-2
@@ -156,6 +159,32 @@ def test_gap_sequence_leaf_claim_fires_on_corrupt_state():
     assert isinstance(info.value, AssertionError)
 
 
+@pytest.mark.parametrize(
+    "g, parents, newcomer, anchor, error, message",
+    [
+        # Vertex 1 would be detached while it still holds vertex 2.
+        (graphs.C4, (-1, 0, 1, 0), 1, 0, LeafClaimError, "vertex 1 is not a leaf in (-1, 0, 1, 0)"),
+        # The milestone for {0}, with the dropped vertex 1 as the anchor: run
+        # move by move, vertex 1 would be detached after 3 attached to it.
+        (graphs.K4, (-1, 3, 3, 0), 3, 1, AssertionError,
+         "stage absorbing 3 does not start from its milestone tree"),
+    ],
+)
+def test_a_stage_that_fails_its_certificate_changes_nothing(g, parents, newcomer, anchor, error, message):
+    num = STNumbering((0, 1, 2, 3))
+    ext = _extreme_neighbors(g, num)
+    parents = list(parents)
+    kids = _child_counts(parents)
+    tables = stage_tables(num, ext, {0})
+    moves = array("i", [2, 1, 0])  # a move of an earlier stage
+    before = copy.deepcopy((parents, kids, tables, moves))
+    with pytest.raises(AssertionError) as info:
+        _advance_stage(parents, kids, newcomer, anchor, ext[1], tables, moves)
+    assert type(info.value) is error
+    assert str(info.value) == message
+    assert (parents, kids, tables, moves) == before
+
+
 def test_walk_from_canonical_rejects_a_non_st_numbering():
     # In C4 numbered 0, 2, 1, 3, vertex 2 has no lower-positioned neighbor
     # and vertex 1 no higher-positioned one.
@@ -186,7 +215,8 @@ def test_walk_from_canonical_milestone_check_survives_optimized_mode():
     # st_numbering checks its own result, and a graph file the bulk reader
     # turns down still gets the line reader's exact message.  The corrupt
     # state of test_gap_sequence_leaf_claim_fires_on_corrupt_state fails its
-    # stage's certificate, and the moves it then runs break the leaf claim.
+    # stage's certificate with a vertex that is not a leaf, and a state off
+    # its milestone with no such vertex fails it with the milestone message.
     code = (
         "import sys\n"
         "import treewalk.connectivity\n"
@@ -221,6 +251,11 @@ def test_walk_from_canonical_milestone_check_survives_optimized_mode():
         "    gap_sequence(bad_state, {0}, target, STNumbering((0, 1, 2, 3)), g)\n"
         "except LeafClaimError as exc:\n"
         "    print('raised:', exc)\n"
+        "off_milestone = RootedSpanningTree(0, (-1, 0, 3, 0))\n"
+        "try:\n"
+        "    gap_sequence(off_milestone, {0}, off_milestone, STNumbering((0, 1, 2, 3)), g)\n"
+        "except AssertionError as exc:\n"
+        "    print('raised:', type(exc).__name__, exc)\n"
     )
     src = str(Path(treewalk.__file__).resolve().parents[1])
     tests = str(Path(__file__).resolve().parent)
@@ -236,6 +271,7 @@ def test_walk_from_canonical_milestone_check_survives_optimized_mode():
     assert out[4] == "raised: line 2: edge (0, 9) out of range for n=3"
     assert out[5] == "raised: line 3: duplicate edge (1, 0)"
     assert out[6] == "raised: vertex 1 is not a leaf in (-1, 0, 1, 0)"
+    assert out[7] == "raised: AssertionError stage absorbing 3 does not start from its milestone tree"
 
 
 def test_no_assert_statements_in_the_package():
