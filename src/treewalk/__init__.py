@@ -48,6 +48,7 @@ from .walk import (
     WalkSequence,
     canonical_tree,
     format_walk_moves,
+    format_walk_trees,
     parse_walk_moves,
     verify_walk,
     walk,
@@ -79,6 +80,7 @@ __all__ = [
     "format_graph",
     "format_tree",
     "format_walk_moves",
+    "format_walk_trees",
     "is_biconnected",
     "lower_bound_value",
     "make_gk",

@@ -5,11 +5,15 @@ exceeded.  The oracle and experiment commands take --cap, 10 million by
 default.  For a distance the cap bounds the trees the search holds at once,
 for a path the trees it has stored, and for a count or a diameter the trees
 enumerated; experiment leaves the distance of a row that hits the cap empty.
+
+The argument parser is built once per process, on the first call of main,
+and every later call reuses it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -29,7 +33,7 @@ from .oracle import (
     tree_graph_diameter,
 )
 from .partition import partition2_with_strategy
-from .walk import format_walk_moves, parse_walk_moves, verify_walk, walk
+from .walk import format_walk_moves, format_walk_trees, parse_walk_moves, verify_walk, walk
 
 GEN_K_LIMIT = 10_000
 
@@ -64,7 +68,11 @@ def _cmd_walk(args) -> int:
     if args.format == "moves":
         sys.stdout.write(format_walk_moves(seq))
     else:
-        sys.stdout.write("\n".join(format_tree(tree) for tree in seq.trees))
+        write = sys.stdout.write
+        texts = format_walk_trees(seq)
+        write(next(texts))
+        for text in texts:  # a blank line between trees, each written as it comes
+            write("\n" + text)
     return 0
 
 
@@ -147,8 +155,10 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="treewalk", description=__doc__)
+    # --help shows the docstring without its last paragraph, which is about the code.
+    parser = _Parser(prog="treewalk", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("stnum", help="print an st-numbering as one line of vertex ids")

@@ -24,7 +24,7 @@ def experiment_table(k_max: int, cap: int = DEFAULT_CAP) -> list[ExperimentRow]:
 
     The exact distance is attempted on every row; a row whose search would
     hold more than ``cap`` trees at once (see ``tree_distance``) keeps no
-    distance.
+    distance; a negative ``cap`` raises ValueError from ``tree_distance``.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be positive, got {k_max}")

@@ -81,6 +81,12 @@ def _hang(forest: list[int], v: int, u: int) -> None:
         u, v = v, up
 
 
+def _check_cap(cap: int) -> None:
+    """Reject a negative cap before any work: no search can stay under it."""
+    if cap < 0:
+        raise ValueError(f"cap must be non-negative, got {cap}")
+
+
 def enumerate_spanning_trees(
     g: Graph, root: int = 0, cap: int = DEFAULT_CAP
 ) -> list[RootedSpanningTree]:
@@ -98,6 +104,7 @@ def enumerate_spanning_trees(
     pushed: including an edge keeps that true, and excluding one is pruned
     unless the chosen edges plus the later ones still connect the graph.
     """
+    _check_cap(cap)
     n = g.n
     if not 0 <= root < n:
         raise ValueError(f"root {root} out of range for {n} vertices")
@@ -388,6 +395,7 @@ def tree_distance(
     ``cap`` bounds the trees the search holds at once: each side keeps only
     its frontier and the level before it.
     """
+    _check_cap(cap)
     _check_tree_pair(g, a, t, t_prime)
     if t == t_prime:
         return 0
@@ -403,6 +411,7 @@ def shortest_tree_path(
     cap: int = DEFAULT_CAP,
 ) -> WalkSequence:
     """One shortest walk between the two trees, as a verifiable sequence."""
+    _check_cap(cap)
     _check_tree_pair(g, a, t, t_prime)
     if t == t_prime:
         return WalkSequence(t, ())
@@ -427,6 +436,7 @@ def tree_graph_diameter(g: Graph, a: int, cap: int = DEFAULT_CAP) -> int:
     a list of numbers, and one BFS per tree runs over those lists.  Raises
     ValueError when ``g`` has no spanning tree.
     """
+    _check_cap(cap)
     space = _PackedTrees(g, a)
     keys = [space.pack(t) for t in enumerate_spanning_trees(g, root=a, cap=cap)]
     if not keys:

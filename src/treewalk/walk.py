@@ -500,6 +500,28 @@ def format_walk_moves(seq: WalkSequence) -> str:
     return format_tree(seq.source) + "".join(("%d %d %d\n" * (len(c) // 3)) % tuple(c) for c in chunks)
 
 
+def format_walk_trees(seq: WalkSequence) -> Iterator[str]:
+    """Each tree of the walk in :func:`format_tree`'s form, in order, from one replay.
+
+    One list holds the header and a ``v p`` line per non-root vertex; each
+    move rewrites its vertex's line, and each tree is one join of the list,
+    so the trees take O(n) memory beyond the walk.  Each move is checked in
+    O(1) against what :class:`RootedSpanningTree` would refuse: its vertex
+    must be a non-root vertex, and its new parent another vertex.  A move
+    that fails raises ValueError where ``seq.trees`` would give its tree.
+    """
+    root, parents = seq.source.root, seq.source.parents
+    n = len(parents)
+    # The line of vertex v sits at v + 1 before the root and at v after it.
+    lines = [f"{n} {root}", *(f"{v} {p}" for v, p in enumerate(parents) if v != root), ""]
+    yield "\n".join(lines)
+    for i, (v, new) in enumerate(_rehangs(seq)):
+        if v == root or v == new or not (0 <= v < n and 0 <= new < n):
+            raise ValueError(f"move {i}: vertex {v} cannot be rehung onto {new}")
+        lines[v + (v < root)] = f"{v} {new}"
+        yield "\n".join(lines)
+
+
 def parse_walk_moves(text: str) -> WalkSequence:
     """Parse the stream form back into a source tree plus moves.
 

@@ -2,8 +2,13 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import random
 import shlex
+import subprocess
 import sys
+import tracemalloc
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -16,10 +21,13 @@ from treewalk import (
     parse_graph,
     parse_tree,
     parse_walk_moves,
+    random_biconnected_graph,
+    random_spanning_tree,
     tree_from_edges,
     verify_walk,
     walk,
 )
+import treewalk.cli
 from treewalk.cli import main
 
 import graphs
@@ -89,9 +97,31 @@ def test_walk_tree_format(tmp_path, capsys):
     b = _write(tmp_path, "b.txt", format_tree(PATH))
     assert main(["walk", "--graph", g, "--root", "0", "--from", a, "--to", b,
                  "--format", "trees"]) == 0
-    out = capsys.readouterr().out
     seq = walk(graphs.TRIANGLE, 0, STAR, PATH)
-    assert out.count("3 0\n") == len(seq.trees)
+    assert capsys.readouterr().out == "\n".join(format_tree(t) for t in seq.trees)
+
+
+def test_walk_tree_format_streams_in_less_memory_than_its_text(tmp_path):
+    # The trees are written as they are formatted, so the peak stays below
+    # the text; holding the whole text, as one join does, would exceed it.
+    rng = random.Random(64)
+    g = random_biconnected_graph(64, rng)
+    t1, t2 = random_spanning_tree(g, 0, rng), random_spanning_tree(g, 0, rng)
+    files = [_write(tmp_path, name, text) for name, text in
+             (("g.txt", format_graph(g)), ("a.txt", format_tree(t1)), ("b.txt", format_tree(t2)))]
+    argv = ["walk", "--graph", files[0], "--root", "0", "--from", files[1], "--to", files[2],
+            "--format", "trees"]
+    out = tmp_path / "trees.txt"
+    with open(out, "w") as stream, redirect_stdout(stream):
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    text = out.read_text()
+    assert text == "\n".join(format_tree(t) for t in walk(g, 0, t1, t2).trees)
+    assert peak < len(text)
 
 
 def test_verify_flags_tampered_walk(tmp_path, capsys):
@@ -243,6 +273,51 @@ def test_usage_errors(capsys):
     assert main([]) == 1
     assert main(["walk", "--graph", "g.txt"]) == 1
     capsys.readouterr()
+
+
+def _session(argvs, capsys):
+    """(exit code, stdout, stderr) of each command run in turn."""
+    out = []
+    for argv in argvs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --help exits from inside argparse
+            code = exc.code
+        captured = capsys.readouterr()
+        out.append((code, captured.out, captured.err))
+    return out
+
+
+def test_the_shared_parser_answers_as_fresh_ones_do(tmp_path, capsys, monkeypatch):
+    g = _write(tmp_path, "g.txt", TRI_TEXT)
+    a = _write(tmp_path, "a.txt", format_tree(STAR))
+    b = _write(tmp_path, "b.txt", format_tree(PATH))
+    walk_argv = ["walk", "--graph", g, "--root", "0", "--from", a, "--to", b]
+    argvs = [
+        ["lower-bound", "--k", "x"],
+        ["lower-bound", "--k", "-3"],
+        walk_argv + ["--format", "trees"],
+        walk_argv,  # the default format again, not the one before
+        ["--help"],
+        ["oracle", "distance", "--help"],
+    ]
+    shared = _session(argvs, capsys)
+    assert [code for code, _, _ in shared] == [1, 2, 0, 0, 0, 0]
+    seq = walk(graphs.TRIANGLE, 0, STAR, PATH)
+    assert shared[3][1] == format_walk_moves(seq)
+    assert shared[4][1].startswith("usage: treewalk ")
+    fresh = treewalk.cli._build_parser.__wrapped__
+    monkeypatch.setattr(treewalk.cli, "_build_parser", lambda: fresh())
+    assert _session(argvs, capsys) == shared
+
+
+def test_importing_the_cli_builds_no_parser():
+    src = str(Path(treewalk.cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = "import treewalk, treewalk.cli; print(treewalk.cli._build_parser.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": path}).stdout
+    assert out == "0\n"
 
 
 def test_missing_file_is_reported(capsys):

@@ -15,6 +15,7 @@ from treewalk import (
     WalkSequence,
     count_spanning_trees_kirchhoff,
     enumerate_spanning_trees,
+    experiment_table,
     lower_bound_value,
     make_gk,
     random_biconnected_graph,
@@ -110,6 +111,30 @@ def test_g5_distance_fits_a_cap_that_stops_the_path_search():
     assert tree_distance(*args, cap=10_000) == 100
     with pytest.raises(CapExceededError):
         shortest_tree_path(*args, cap=10_000)
+
+
+G1 = make_gk(1)
+CAPPED_CALLS = {
+    "enumerate_spanning_trees": lambda cap: enumerate_spanning_trees(G1.graph, cap=cap),
+    "tree_distance": lambda cap: tree_distance(G1.graph, 0, G1.tree_a, G1.tree_b, cap=cap),
+    "shortest_tree_path": lambda cap: shortest_tree_path(G1.graph, 0, G1.tree_a, G1.tree_b, cap=cap),
+    "tree_graph_diameter": lambda cap: tree_graph_diameter(G1.graph, 0, cap=cap),
+    "experiment_table": lambda cap: experiment_table(2, cap=cap),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CAPPED_CALLS))
+def test_a_negative_cap_is_a_value_error(name):
+    # It used to read as "cap exceeded": CapExceededError, or no distances.
+    call = CAPPED_CALLS[name]
+    with pytest.raises(ValueError) as info:
+        call(-1)
+    assert str(info.value) == "cap must be non-negative, got -1"
+    if name == "experiment_table":
+        assert [row.oracle_distance for row in call(0)] == [None, None]
+    else:
+        with pytest.raises(CapExceededError):
+            call(0)
 
 
 def test_distance_basics():

@@ -25,7 +25,9 @@ from treewalk import (
     STNumbering,
     WalkSequence,
     canonical_tree,
+    format_tree,
     format_walk_moves,
+    format_walk_trees,
     parse_walk_moves,
     random_biconnected_graph,
     random_spanning_tree,
@@ -463,6 +465,25 @@ def test_walk_trees_are_derived_on_demand():
     report = verify_walk(graphs.TRIANGLE, 0, bad)
     assert report.tree_count == 2
     assert report.issues == ("step 0: move 0 -1 1 cannot be applied",)
+
+
+def _until_value_error(items) -> list:
+    """The items before a ValueError, which must come."""
+    out = []
+    with pytest.raises(ValueError):
+        for item in items:
+            out.append(item)
+    return out
+
+
+@pytest.mark.parametrize("bad", [(0, -1, 1), (2, 1, 3), (2, 1, -1), (2, 1, 2)])
+def test_tree_texts_refuse_the_move_the_tree_view_refuses(bad):
+    # The root moved, a parent out of range, a vertex its own parent: after
+    # one good move, both the texts and the trees stop at the bad one.
+    seq = WalkSequence(RootedSpanningTree(0, (-1, 0, 0)), array("i", [2, 0, 1, *bad]))
+    texts = _until_value_error(format_walk_trees(seq))
+    assert texts == list(map(format_tree, _until_value_error(seq.trees)))
+    assert texts == ["3 0\n1 0\n2 0\n", "3 0\n1 0\n2 1\n"]
 
 
 def test_verify_walk_flags_non_leaf_single_change():

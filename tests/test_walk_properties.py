@@ -18,7 +18,9 @@ from treewalk import (  # noqa: E402
     RootedSpanningTree,
     WalkSequence,
     canonical_tree,
+    format_tree,
     format_walk_moves,
+    format_walk_trees,
     parse_walk_moves,
     random_biconnected_graph,
     random_spanning_tree,
@@ -61,6 +63,15 @@ def test_walk_endpoints_bound_and_round_trip(inst):
     assert len(seq.moves) <= 2 * g.n * (g.n - 1)
     assert parse_walk_moves(format_walk_moves(seq)) == seq
     assert verify_walk(g, a, seq, source=t1, target=t2).ok
+
+
+@SETTINGS
+@given(instances(), st.booleans())
+def test_tree_texts_are_the_formatted_trees(inst, stay):
+    # ``stay`` draws the walk of zero moves too, whatever the drawn root.
+    g, a, t1, t2 = inst
+    seq = walk(g, a, t1, t1 if stay else t2)
+    assert list(format_walk_trees(seq)) == [format_tree(t) for t in seq.trees]
 
 
 def _caught(g, a, t1, t2, moves) -> bool:
