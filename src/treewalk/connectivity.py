@@ -138,24 +138,18 @@ def st_numbering(g: Graph, s: int, t: int) -> STNumbering:
     work = [t, s]
     while work:
         v = work.pop()
-        for u in children[v]:
-            if not placed[u]:
-                # down the lowpoint chain, then one back edge up to a placed ancestor
-                path = []
-                while not placed[u]:
-                    placed[u] = 1
-                    path.append(u)
-                    u = low_next[u]
-                work += reversed(path)
-        for u in down_backs[v]:
-            if not placed[u]:
-                # from the lower end of the back edge up the tree to a placed vertex
-                path = []
-                while not placed[u]:
-                    placed[u] = 1
-                    path.append(u)
-                    u = parent[u]
-                work += reversed(path)
+        # From a child down its lowpoint chain, then one back edge up to a
+        # placed ancestor; from the lower end of a back edge up the tree to a
+        # placed vertex.
+        for starts, step in ((children[v], low_next), (down_backs[v], parent)):
+            for u in starts:
+                if not placed[u]:
+                    path = []
+                    while not placed[u]:
+                        placed[u] = 1
+                        path.append(u)
+                        u = step[u]
+                    work += reversed(path)
         order.append(v)
     result = STNumbering(tuple(order))
     if not validate_st_numbering(g, result, s, t):

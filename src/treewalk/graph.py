@@ -248,6 +248,8 @@ def tree_from_edges(n: int, edge_list: Iterable[tuple[int, int]], root: int) -> 
     parents[root] = root  # marks the root as reached
     waiting: dict[int, list[int]] = {}
     for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
         if parents[u] < 0:
             if parents[v] < 0:
                 waiting.setdefault(u, []).append(v)

@@ -56,9 +56,20 @@ class LeafClaimError(AssertionError):
 
 
 def _rehangs(seq: WalkSequence, count: int | None = None) -> Iterator[tuple[int, int]]:
-    """(vertex, new parent) of the first ``count`` moves of ``seq``, all of them by default."""
+    """(vertex, new parent) of the first ``count`` moves of ``seq``, all of them by default.
+
+    Every reader that replays the store comes through here, so this owns
+    the move check: each move is checked in O(1) against what
+    :class:`RootedSpanningTree` would refuse.  Its vertex must be a non-root
+    vertex, and its new parent another vertex; a move that fails raises
+    ValueError when it is reached.
+    """
     flat = seq._flat if count is None else seq._flat[:3 * count]
-    return zip(flat[0::3], flat[2::3])
+    root, n = seq.source.root, seq.source.n
+    for i, (v, new) in enumerate(zip(flat[0::3], flat[2::3])):
+        if v == root or v == new or not (0 <= v < n and 0 <= new < n):
+            raise ValueError(f"move {i}: vertex {v} cannot be rehung onto {new}")
+        yield v, new
 
 
 def _replay(seq: WalkSequence, count: int | None = None) -> RootedSpanningTree:
@@ -307,20 +318,9 @@ def walk_from_canonical(
     if problem is not None:
         raise ValueError(f"target tree invalid: {problem}")
     start, ext = _canonical(g, num)
-    return WalkSequence(start, _canonical_moves(num, start, ext, t_prime))
-
-
-def _canonical_moves(
-    num: STNumbering,
-    start: RootedSpanningTree,
-    ext: tuple[list[int], list[int]],
-    t_prime: RootedSpanningTree,
-) -> array:
-    """The moves of the canonical walk from ``start`` to ``t_prime``, on checked inputs."""
     moves = array("i")
     if t_prime == start:
-        return moves
-    root = num.order[0]
+        return WalkSequence(start, moves)
     n = num.n
     pos = num.positions
     target = t_prime.parents
@@ -353,7 +353,7 @@ def _canonical_moves(
     count = len(moves) // 3
     if count > n * (n - 1):
         raise AssertionError(f"canonical walk has {count} moves, over n(n-1) = {n * (n - 1)}")
-    return moves
+    return WalkSequence(start, moves)
 
 
 def walk(
@@ -362,18 +362,17 @@ def walk(
     """Walk between two spanning trees rooted at ``a`` via the canonical tree.
 
     The result starts exactly at ``t``, ends exactly at ``t_prime``, and
-    has at most 2n(n-1) moves.  Each tree is checked once, and the
-    canonical tree and its extreme-neighbor tables are built once for both
-    halves.
+    has at most 2n(n-1) moves: the canonical walk to ``t`` reversed, then the
+    one to ``t_prime``, both from :func:`walk_from_canonical`.  Both trees are
+    checked here first; each canonical walk then checks its target again and
+    builds the canonical tables again, O(n + m) work next to O(n^2) moves.
     """
     _check_tree_pair(g, a, t, t_prime)
     if t == t_prime:
         return WalkSequence(t, ())
-    mate = min(g.adj[a])
-    num = st_numbering(g, a, mate)
-    start, ext = _canonical(g, num)
-    moves = _reversed_moves(_canonical_moves(num, start, ext, t))
-    moves += _canonical_moves(num, start, ext, t_prime)
+    num = st_numbering(g, a, min(g.adj[a]))
+    moves = _reversed_moves(walk_from_canonical(g, num, t)._flat)
+    moves += walk_from_canonical(g, num, t_prime)._flat
     return WalkSequence(t, moves)
 
 
@@ -505,19 +504,15 @@ def format_walk_trees(seq: WalkSequence) -> Iterator[str]:
 
     One list holds the header and a ``v p`` line per non-root vertex; each
     move rewrites its vertex's line, and each tree is one join of the list,
-    so the trees take O(n) memory beyond the walk.  Each move is checked in
-    O(1) against what :class:`RootedSpanningTree` would refuse: its vertex
-    must be a non-root vertex, and its new parent another vertex.  A move
-    that fails raises ValueError where ``seq.trees`` would give its tree.
+    so the trees take O(n) memory beyond the walk.  A move that fails the
+    check of :func:`_rehangs` raises ValueError where ``seq.trees`` would
+    give its tree.
     """
     root, parents = seq.source.root, seq.source.parents
-    n = len(parents)
     # The line of vertex v sits at v + 1 before the root and at v after it.
-    lines = [f"{n} {root}", *(f"{v} {p}" for v, p in enumerate(parents) if v != root), ""]
+    lines = [f"{len(parents)} {root}", *(f"{v} {p}" for v, p in enumerate(parents) if v != root), ""]
     yield "\n".join(lines)
-    for i, (v, new) in enumerate(_rehangs(seq)):
-        if v == root or v == new or not (0 <= v < n and 0 <= new < n):
-            raise ValueError(f"move {i}: vertex {v} cannot be rehung onto {new}")
+    for v, new in _rehangs(seq):
         lines[v + (v < root)] = f"{v} {new}"
         yield "\n".join(lines)
 

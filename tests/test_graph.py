@@ -98,6 +98,11 @@ def test_tree_from_edges_rejects_non_trees():
         tree_from_edges(4, [(1, 2), (2, 3), (1, 3)], root=0)
     with pytest.raises(ValueError, match="does not form a spanning tree"):
         tree_from_edges(4, [(0, 1), (2, 3), (2, 3)], root=0)
+    # an end outside 0..n-1 is refused, not read as another vertex
+    with pytest.raises(ValueError, match=r"edge \(0, -1\) out of range for n=3"):
+        tree_from_edges(3, [(0, -1), (0, 1)], root=0)
+    with pytest.raises(ValueError, match=r"edge \(0, 5\) out of range for n=3"):
+        tree_from_edges(3, [(0, 5), (1, 2)], root=0)
     # waiting edges are hung once an end is reached, whatever the edge order
     assert tree_from_edges(5, [(3, 4), (2, 3), (1, 2), (0, 1)], root=0).parents == (-1, 0, 1, 2, 3)
     assert tree_from_edges(5, [(3, 4), (0, 4), (1, 2), (1, 3)], root=2).parents == (4, 2, -1, 1, 3)

@@ -31,6 +31,7 @@ from treewalk import (
     parse_walk_moves,
     random_biconnected_graph,
     random_spanning_tree,
+    removal_times,
     st_numbering,
     tree_from_edges,
     trees_adjacent,
@@ -476,14 +477,21 @@ def _until_value_error(items) -> list:
     return out
 
 
-@pytest.mark.parametrize("bad", [(0, -1, 1), (2, 1, 3), (2, 1, -1), (2, 1, 2)])
+@pytest.mark.parametrize(
+    "bad", [(0, -1, 1), (2, 1, 3), (2, 1, -1), (2, 1, 2), (-1, 0, 1), (3, 0, 1)]
+)
 def test_tree_texts_refuse_the_move_the_tree_view_refuses(bad):
-    # The root moved, a parent out of range, a vertex its own parent: after
-    # one good move, both the texts and the trees stop at the bad one.
+    # The root moved, a parent out of range, a vertex its own parent, a
+    # vertex out of range: after one good move, both the texts and the trees
+    # stop at the bad one, and every other reader of the moves refuses it.
     seq = WalkSequence(RootedSpanningTree(0, (-1, 0, 0)), array("i", [2, 0, 1, *bad]))
     texts = _until_value_error(format_walk_trees(seq))
     assert texts == list(map(format_tree, _until_value_error(seq.trees)))
     assert texts == ["3 0\n1 0\n2 0\n", "3 0\n1 0\n2 1\n"]
+    message = f"move 1: vertex {bad[0]} cannot be rehung onto {bad[2]}"
+    for read in (lambda: seq.target, seq.reverse, lambda: removal_times(seq, [(0, 1)])):
+        with pytest.raises(ValueError, match=message):
+            read()
 
 
 def test_verify_walk_flags_non_leaf_single_change():
@@ -518,6 +526,21 @@ def test_verify_walk_reports_a_self_parent_move():
     report = verify_walk(graphs.C4, 0, after, target=RootedSpanningTree(0, (-1, 0, 1, 0)))
     assert report.issues == ("step 1: move 3 0 3 cannot be applied",)
     assert report.target_matches and report.tree_count == 3
+
+
+def test_verify_walk_reports_every_tree_and_step_against_the_wrong_root():
+    # A valid walk rooted at 0, checked against a = 1: each tree is off root
+    # and each step fails the intersection test's shape check, with no raise.
+    t = tree_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)], root=0)
+    t_prime = tree_from_edges(5, [(0, 4), (3, 4), (2, 3), (1, 2)], root=0)
+    seq = walk(graphs.C5, 0, t, t_prime)
+    report = verify_walk(graphs.C5, 1, seq)
+    expected = ["tree 0: rooted at 0, expected 1"]
+    for i in range(len(seq.moves)):
+        expected.append(f"step {i}: both trees must be rooted at 1 (got 0, 0)")
+        expected.append(f"tree {i + 1}: rooted at 0, expected 1")
+    assert report.issues == tuple(expected)
+    assert len(report.issues) == 2 * len(seq.moves) + 1 and not report.ok
 
 
 def test_verify_walk_flags_endpoint_mismatch():
