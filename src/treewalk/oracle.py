@@ -49,26 +49,18 @@ class TreeGraphDisconnectedError(RuntimeError):
     2-connected graphs; raised loudly instead of returning a sentinel)."""
 
 
-def _connects(edges: list[tuple[int, int]], start: int, forest: list[int], parts: int) -> bool:
-    """Whether ``edges[start:]`` join the ``parts`` components of ``forest``.
+def _connects(edges: list[tuple[int, int]], start: int, comp: list[int], parts: int) -> bool:
+    """Whether ``edges[start:]`` join the ``parts`` components of the union-find list ``comp``.
 
-    Works on a copy: every top points to itself, so ``forest`` is also a
-    union-find list, and ``_find`` may halve its paths.
+    Works on a copy, on which ``_find`` may halve its paths.
     """
-    label = forest.copy()
+    label = comp.copy()
     for u, v in edges[start:]:
         ru, rv = _find(label, u), _find(label, v)
         if ru != rv:
             label[ru] = rv
             parts -= 1
     return parts == 1
-
-
-def _top(forest: list[int], x: int) -> int:
-    """The top of ``x``'s component: the vertex that points to itself."""
-    while forest[x] != x:
-        x = forest[x]
-    return x
 
 
 def _hang(forest: list[int], v: int, u: int) -> None:
@@ -94,15 +86,18 @@ def enumerate_spanning_trees(
 
     Backtracking over edge inclusion/exclusion in sorted edge order, with an
     explicit stack, so the depth is not bounded by the recursion limit.  A
-    stack entry holds the next edge to decide, the number of chosen edges
-    and their forest, one parent entry per vertex: each component is a tree
-    oriented towards its top, which points to itself.  An edge closes a
-    cycle when its ends share a top; including it hangs one end from the
-    other, so a finished branch is already oriented and only needs
-    re-rooting at ``root``.  The include branch is pushed last, so it is
-    explored first.  Only branches that still lead to a spanning tree are
-    pushed: including an edge keeps that true, and excluding one is pruned
-    unless the chosen edges plus the later ones still connect the graph.
+    stack entry holds the next edge to decide, the number of chosen edges,
+    their forest and a union-find list of its components.  The forest has
+    one parent entry per vertex: each component is a tree oriented towards
+    its top, which points to itself.  An edge closes a cycle when its ends
+    share a union-find root, which path halving finds in amortized O(log n)
+    however deep the forest grows.  Including an edge joins the two roots
+    and hangs one end from the other, so a finished branch is already
+    oriented and only needs re-rooting at ``root``.  The include branch is
+    pushed last, so it is explored first.  Only branches that still lead to
+    a spanning tree are pushed: including an edge keeps that true, and
+    excluding one is pruned unless the chosen edges plus the later ones
+    still connect the graph.
     """
     _check_cap(cap)
     n = g.n
@@ -112,9 +107,9 @@ def enumerate_spanning_trees(
     m = len(edges)
     result: list[RootedSpanningTree] = []
     start = list(range(n))
-    stack = [(0, 0, start)] if _connects(edges, 0, start, n) else []
+    stack = [(0, 0, start, start.copy())] if _connects(edges, 0, start, n) else []
     while stack:
-        idx, count, forest = stack.pop()
+        idx, count, forest, label = stack.pop()
         if count == n - 1:
             if len(result) >= cap:
                 raise CapExceededError(len(result))
@@ -122,15 +117,18 @@ def enumerate_spanning_trees(
             result.append(RootedSpanningTree(root, tuple(forest)))
             continue
         u, v = edges[idx]
-        if _top(forest, u) == _top(forest, v):
-            stack.append((idx + 1, count, forest))
+        ru, rv = _find(label, u), _find(label, v)
+        if ru == rv:
+            stack.append((idx + 1, count, forest, label))
             continue
         # The count test is implied by _connects but answers most calls in O(1).
-        if count + m - idx - 1 >= n - 1 and _connects(edges, idx + 1, forest, n - count):
-            stack.append((idx + 1, count, forest))
-            forest = forest.copy()  # the exclude branch keeps the list as it is
+        if count + m - idx - 1 >= n - 1 and _connects(edges, idx + 1, label, n - count):
+            stack.append((idx + 1, count, forest, label))
+            # the exclude branch keeps the lists as they are
+            forest, label = forest.copy(), label.copy()
         _hang(forest, v, u)
-        stack.append((idx + 1, count + 1, forest))
+        label[ru] = rv
+        stack.append((idx + 1, count + 1, forest, label))
     return result
 
 

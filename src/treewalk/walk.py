@@ -422,10 +422,15 @@ def verify_walk(
     one tree to the next.  The first tree gets a full check.  While the
     current tree is certified, a move that rehangs a childless vertex along
     a graph edge provably gives a spanning tree again, and both adjacency
-    tests follow in O(1) from the child count of that vertex.  Any
-    other move is applied anyway, and the tree it leads to gets the full
-    check and the general adjacency test, so a corrupted stream is still
-    diagnosed tree by tree.
+    tests follow in O(1) from the child count of that vertex.  A certified
+    first tree is followed by one tight loop over such regular steps: a
+    non-root vertex in range, childless, whose claimed old parent is its
+    parent, rehung onto a graph neighbour, applied in place with no other
+    test.  At the first step that is not regular the general loop takes
+    over from that step, with the same parent array and child counts.  It
+    applies every move anyway, and a move that is not regular leads to a
+    tree that gets the full check and the general adjacency test, so a
+    corrupted stream is still diagnosed tree by tree.
     """
     issues: list[str] = []
     neighbors = [set(nbrs) for nbrs in g.adj]
@@ -446,8 +451,23 @@ def verify_walk(
         return True
 
     certified = full_check(0, first)
-    it = iter(seq._flat)
-    for idx, (v, claimed, new) in enumerate(zip(it, it, it)):
+    flat = seq._flat
+    start = 0
+    if certified:
+        # The range test comes first, as a negative v would index from the
+        # end; graph edges are no self-loops, so a neighbour ``new`` is in
+        # range and not v.
+        it = iter(flat)
+        for v, claimed, new in zip(it, it, it):
+            if not (0 <= v < size and v != root and not kids[v] and parents[v] == claimed
+                    and new in neighbors[v]):
+                break
+            parents[v] = new
+            kids[claimed] -= 1
+            kids[new] += 1
+            start += 1
+    it = iter(flat[3 * start:])
+    for idx, (v, claimed, new) in enumerate(zip(it, it, it), start):
         if v == root or v == new or not (0 <= v < size and 0 <= new < size):
             issues.append(f"step {idx}: move {v} {claimed} {new} cannot be applied")
             continue

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import sys
+import time
 
 import pytest
 
@@ -83,6 +84,18 @@ def test_enumeration_does_not_recurse_per_edge():
     path = Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
     trees = enumerate_spanning_trees(path, root=n - 1)
     assert [t.parents for t in trees] == [tuple(range(1, n)) + (-1,)]
+
+
+def test_enumeration_on_a_long_cycle_is_not_cubic():
+    # The forest of a cycle grows paths of length n, so a cycle test that
+    # walked them would make this cubic in n.
+    n = 1200
+    cycle = Graph.from_edges(n, [(v, (v + 1) % n) for v in range(n)])
+    start = time.perf_counter()
+    trees = enumerate_spanning_trees(cycle)
+    elapsed = time.perf_counter() - start
+    assert len(set(trees)) == len(trees) == n
+    assert elapsed < 15.0, f"{elapsed:.1f} s for the {n} spanning trees of C_{n}"
 
 
 def test_bfs_cap():

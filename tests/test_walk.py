@@ -580,6 +580,31 @@ def test_verify_walk_agrees_with_public_adjacency_tests():
             assert trees_adjacent_via_move(seq.trees[i], seq.trees[i + 1], 0)
 
 
+def test_an_untampered_walk_is_verified_in_the_regular_loop(monkeypatch):
+    # The first tree gets the one full check; every step of a real walk is
+    # regular, so no step falls back to the general adjacency test.
+    rng = random.Random(16)
+    g = random_biconnected_graph(64, rng)
+    t1, t2 = random_spanning_tree(g, 0, rng), random_spanning_tree(g, 0, rng)
+    seq = walk(g, 0, t1, t2)
+    module = importlib.import_module("treewalk.walk")
+    calls = {"spanning_tree_violation": 0, "trees_adjacent": 0}
+
+    def counted(name):
+        real = getattr(module, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(module, name, counted(name))
+    assert verify_walk(g, 0, seq, source=t1, target=t2).ok
+    assert len(seq.moves) > 1_000
+    assert calls == {"spanning_tree_violation": 1, "trees_adjacent": 0}
+
+
 def test_walk_moves_round_trip():
     rng = random.Random(21)
     g = random_biconnected_graph(8, rng)

@@ -39,6 +39,7 @@ from stages import (  # noqa: E402
 from treewalk.connectivity import _extreme_neighbors  # noqa: E402
 from treewalk.graph import _child_counts  # noqa: E402
 from treewalk.walk import LeafClaimError, _advance_stage, _parse_bulk  # noqa: E402
+from verifier import reference_verify_walk  # noqa: E402
 
 # Derandomized so the suite sees the same examples on every run.
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -280,3 +281,81 @@ def test_any_single_int_changed_in_a_move_is_caught(inst, data):
     except GraphFormatError:
         return
     assert not verify_walk(g, a, tampered, source=t1, target=t2).ok
+
+
+def _step(draw, count: int) -> int:
+    """A step index below ``count``: the first, the last or any, each a third of the time."""
+    last = count - 1
+    return draw(st.one_of(st.just(0), st.just(last), st.integers(0, last)))
+
+
+def _parents_before(source: RootedSpanningTree, flat: array, step: int) -> list[int]:
+    """The parent array before ``step``, skipping moves that cannot be applied as verify_walk does."""
+    parents = list(source.parents)
+    n = len(parents)
+    for v, new in zip(flat[0:3 * step:3], flat[2:3 * step:3]):
+        if v != source.root and v != new and 0 <= v < n and 0 <= new < n:
+            parents[v] = new
+    return parents
+
+
+TAMPERS = (
+    "redirect", "drop", "stale", "non-leaf", "non-edge", "root", "self-parent", "out-of-range",
+)
+
+
+def _tamper(draw, g: Graph, source: RootedSpanningTree, flat: array, kind: str) -> None:
+    """Corrupt the move store ``flat`` in place with one tamper of ``kind``, if it has a step for it."""
+    n, root = g.n, source.root
+    count = len(flat) // 3
+    if kind == "non-leaf":
+        # A non-root vertex with a child rehung onto a neighbour, inserted at a drawn step.
+        i = _step(draw, count + 1)
+        parents = _parents_before(source, flat, i)
+        held = sorted({p for v, p in enumerate(parents) if v != root and p != root})
+        if held:
+            v = draw(st.sampled_from(held))
+            flat[3 * i:3 * i] = array("i", [v, parents[v], draw(st.sampled_from(g.adj[v]))])
+        return
+    if kind == "root":
+        i = _step(draw, count + 1)
+        flat[3 * i:3 * i] = array("i", [root, -1, draw(st.integers(0, n - 1))])
+        return
+    if not count:
+        return
+    i = _step(draw, count)
+    v, old, new = flat[3 * i:3 * i + 3]
+    if kind == "redirect":
+        flat[3 * i + 2] = draw(st.integers(0, n - 1).filter(lambda w: w != new))
+    elif kind == "drop":
+        del flat[3 * i:3 * i + 3]
+    elif kind == "stale":
+        flat[3 * i + 1] = draw(st.integers(-1, n).filter(lambda w: w != old))
+    elif kind == "non-edge":
+        far = [w for w in range(n) if w != v and w not in g.adj[v]] if 0 <= v < n else []
+        if far:
+            flat[3 * i + 2] = draw(st.sampled_from(far))
+    elif kind == "self-parent":
+        flat[3 * i + 2] = v
+    else:  # out-of-range: the vertex or its new parent, below 0 or at n and beyond
+        bad = draw(st.sampled_from([-n - 1, -2, -1, n, n + 1]))
+        flat[3 * i + draw(st.sampled_from([0, 2]))] = bad
+
+
+@settings(SETTINGS, max_examples=300)
+@given(instances(), st.data())
+def test_verify_walk_reports_as_the_single_loop_reference(inst, data):
+    # Random walks with up to two tampers, checked against the walk's root
+    # or another vertex, with or without declared endpoints: the regular loop
+    # and its hand-off must give exactly the reference's report.
+    g, a, t1, t2 = inst
+    seq = walk(g, a, t1, t2)
+    flat = array("i", seq._flat)
+    for kind in data.draw(st.lists(st.sampled_from(TAMPERS), max_size=2)):
+        _tamper(data.draw, g, seq.source, flat, kind)
+    tampered = WalkSequence(seq.source, flat)
+    checked = data.draw(st.one_of(st.just(a), st.integers(0, g.n - 1)))
+    source = data.draw(st.sampled_from([None, t1, t2]))
+    target = data.draw(st.sampled_from([None, t1, t2]))
+    report = verify_walk(g, checked, tampered, source=source, target=target)
+    assert report == reference_verify_walk(g, checked, tampered, source=source, target=target)
