@@ -26,8 +26,8 @@ from .oracle import (
     DEFAULT_CAP,
     CapExceededError,
     TreeGraphDisconnectedError,
+    _spanning_trees,
     count_spanning_trees_kirchhoff,
-    enumerate_spanning_trees,
     shortest_tree_path,
     tree_distance,
     tree_graph_diameter,
@@ -128,7 +128,7 @@ def _cmd_oracle_diameter(args) -> int:
 
 def _cmd_oracle_count(args) -> int:
     g = parse_graph(_read(args.graph))
-    enumerated = len(enumerate_spanning_trees(g, root=0, cap=args.cap))
+    enumerated = sum(1 for _ in _spanning_trees(g, 0, args.cap))  # holds one tree at a time
     print(f"{enumerated} {count_spanning_trees_kirchhoff(g)}")
     return 0
 

@@ -19,10 +19,11 @@ is 0; otherwise the pivots multiply to the count mod P, which is the count.
 from __future__ import annotations
 
 from bisect import bisect_right
+from contextlib import suppress
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import prod
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .graph import (
     Graph,
@@ -79,10 +80,17 @@ def _check_cap(cap: int) -> None:
         raise ValueError(f"cap must be non-negative, got {cap}")
 
 
-def enumerate_spanning_trees(
-    g: Graph, root: int = 0, cap: int = DEFAULT_CAP
-) -> list[RootedSpanningTree]:
-    """All spanning trees of ``g`` rooted at ``root``, each exactly once.
+def enumerate_spanning_trees(g: Graph, root: int = 0, cap: int = DEFAULT_CAP) -> list[RootedSpanningTree]:
+    """The list of the trees that :func:`_spanning_trees` yields, in its order."""
+    return list(_spanning_trees(g, root, cap))
+
+
+def _spanning_trees(g: Graph, root: int, cap: int) -> Iterator[RootedSpanningTree]:
+    """Yield the spanning trees of ``g`` rooted at ``root``, each exactly once.
+
+    A graph whose matrix-tree count is above ``cap`` raises
+    ``CapExceededError(cap)`` before the first tree, as enumeration would at
+    tree ``cap + 1``; past that count's prime table, enumeration meets the cap.
 
     Backtracking over edge inclusion/exclusion in sorted edge order, with an
     explicit stack, so the depth is not bounded by the recursion limit.  A
@@ -103,18 +111,22 @@ def enumerate_spanning_trees(
     n = g.n
     if not 0 <= root < n:
         raise ValueError(f"root {root} out of range for {n} vertices")
+    with suppress(ValueError):  # past the prime table, enumeration alone meets the cap
+        if count_spanning_trees_kirchhoff(g) > cap:
+            raise CapExceededError(cap)
     edges = sorted(g.edges)
     m = len(edges)
-    result: list[RootedSpanningTree] = []
+    found = 0
     start = list(range(n))
     stack = [(0, 0, start, start.copy())] if _connects(edges, 0, start, n) else []
     while stack:
         idx, count, forest, label = stack.pop()
         if count == n - 1:
-            if len(result) >= cap:
-                raise CapExceededError(len(result))
+            if found >= cap:
+                raise CapExceededError(found)
+            found += 1
             _hang(forest, root, -1)
-            result.append(RootedSpanningTree(root, tuple(forest)))
+            yield RootedSpanningTree(root, tuple(forest))
             continue
         u, v = edges[idx]
         ru, rv = _find(label, u), _find(label, v)
@@ -129,7 +141,6 @@ def enumerate_spanning_trees(
         _hang(forest, v, u)
         label[ru] = rv
         stack.append((idx + 1, count + 1, forest, label))
-    return result
 
 
 # Exponents e of the Mersenne primes 2^e - 1, ascending.

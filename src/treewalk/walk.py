@@ -422,15 +422,13 @@ def verify_walk(
     one tree to the next.  The first tree gets a full check.  While the
     current tree is certified, a move that rehangs a childless vertex along
     a graph edge provably gives a spanning tree again, and both adjacency
-    tests follow in O(1) from the child count of that vertex.  A certified
-    first tree is followed by one tight loop over such regular steps: a
-    non-root vertex in range, childless, whose claimed old parent is its
-    parent, rehung onto a graph neighbour, applied in place with no other
-    test.  At the first step that is not regular the general loop takes
-    over from that step, with the same parent array and child counts.  It
-    applies every move anyway, and a move that is not regular leads to a
-    tree that gets the full check and the general adjacency test, so a
-    corrupted stream is still diagnosed tree by tree.
+    tests follow in O(1) from the child count of that vertex.  One loop runs
+    over the move store, and its first branch applies such regular steps in
+    place (a vertex with children may stay on its parent); the loop then
+    only compares the claimed old parent with the real one.  Every other
+    step is applied anyway, and the tree it leads to gets the full check and
+    the general adjacency test, so a corrupted stream is still diagnosed
+    tree by tree; once a tree is certified again, regular steps follow.
     """
     issues: list[str] = []
     neighbors = [set(nbrs) for nbrs in g.adj]
@@ -451,43 +449,29 @@ def verify_walk(
         return True
 
     certified = full_check(0, first)
-    flat = seq._flat
-    start = 0
-    if certified:
+    it = iter(seq._flat)
+    idx = -1  # counted by hand: enumerate slows this loop down measurably
+    for v, claimed, new in zip(it, it, it):
+        idx += 1
         # The range test comes first, as a negative v would index from the
         # end; graph edges are no self-loops, so a neighbour ``new`` is in
         # range and not v.
-        it = iter(flat)
-        for v, claimed, new in zip(it, it, it):
-            if not (0 <= v < size and v != root and not kids[v] and parents[v] == claimed
-                    and new in neighbors[v]):
-                break
-            parents[v] = new
-            kids[claimed] -= 1
-            kids[new] += 1
-            start += 1
-    it = iter(flat[3 * start:])
-    for idx, (v, claimed, new) in enumerate(zip(it, it, it), start):
-        if v == root or v == new or not (0 <= v < size and 0 <= new < size):
-            issues.append(f"step {idx}: move {v} {claimed} {new} cannot be applied")
-            continue
-        old = parents[v]
-        # Leaf-move adjacency: equal maps, or one rehung vertex childless in both.
-        move_ok = new == old or not kids[v]
-        regular = certified and move_ok and new in neighbors[v]
-        if not regular:
-            prev = RootedSpanningTree(root, tuple(parents))
-        parents[v] = new
-        kids[old] -= 1
-        kids[new] += 1
-        if regular:
+        if (certified and 0 <= v < size and v != root and (not kids[v] or new == parents[v])
+                and new in neighbors[v]):
             # Unless the trees are equal, a childless vertex of a spanning
             # tree was rehung along a graph edge: the result is a spanning
             # tree again, and the edges the two share are all but {v, old},
             # which cut off only v from the root, so the intersection test
             # holds as well.
-            adjacent = True
+            old = parents[v]
+            parents[v] = new
+        elif v == root or v == new or not (0 <= v < size and 0 <= new < size):
+            issues.append(f"step {idx}: move {v} {claimed} {new} cannot be applied")
+            continue
         else:
+            old = parents[v]
+            prev = RootedSpanningTree(root, tuple(parents))
+            parents[v] = new
             tree = RootedSpanningTree(root, tuple(parents))
             try:
                 adjacent = trees_adjacent(prev, tree, a)
@@ -495,12 +479,15 @@ def verify_walk(
                 issues.append(f"step {idx}: {exc}")
                 adjacent = None
             certified = full_check(idx + 1, tree)
-        if adjacent is False:
-            issues.append(f"step {idx}: not adjacent (intersection test)")
-        if not move_ok:
-            issues.append(f"step {idx}: not adjacent (leaf-move test)")
+            if adjacent is False:
+                issues.append(f"step {idx}: not adjacent (intersection test)")
+            # Leaf-move adjacency: equal maps, or one rehung vertex childless in both.
+            if new != old and kids[v]:
+                issues.append(f"step {idx}: not adjacent (leaf-move test)")
         if old != claimed:
             issues.append(f"step {idx}: move old parent disagrees with tree")
+        kids[old] -= 1
+        kids[new] += 1
     source_matches = None if source is None else first == source
     target_matches = (
         None if target is None else target.root == root and target.parents == tuple(parents)

@@ -7,6 +7,7 @@ import random
 import shlex
 import subprocess
 import sys
+import time
 import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -224,6 +225,28 @@ def test_oracle_count(tmp_path, capsys):
     g = _write(tmp_path, "g.txt", TRI_TEXT)
     assert main(["oracle", "count", "--graph", g]) == 0
     assert capsys.readouterr().out == "3 3\n"
+
+
+def test_oracle_count_holds_one_tree_at_a_time(tmp_path, capsys):
+    # Holding all 29,681 trees of G_4 at once takes about 8 MB.
+    g = _write(tmp_path, "g.txt", format_graph(make_gk(4).graph))
+    tracemalloc.start()
+    try:
+        assert main(["oracle", "count", "--graph", g]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out == "29681 29681\n"
+    assert peak < 1_000_000
+
+
+def test_oracle_count_refuses_a_graph_past_the_cap_before_enumerating(tmp_path, capsys):
+    # G_7 has 80,198,051 trees: enumerating the first 10M of them would take minutes.
+    g = _write(tmp_path, "g.txt", format_graph(make_gk(7).graph))
+    start = time.perf_counter()
+    assert main(["oracle", "count", "--graph", g]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "ERROR cap-exceeded" in capsys.readouterr().err
 
 
 def test_oracle_diameter_of_a_disconnected_graph(tmp_path, capsys):

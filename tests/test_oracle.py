@@ -7,6 +7,7 @@ import time
 import pytest
 
 import treewalk.oracle
+from treewalk.oracle import DEFAULT_CAP
 from treewalk import (
     CapExceededError,
     Graph,
@@ -75,6 +76,30 @@ def test_enumeration_cap():
     with pytest.raises(CapExceededError) as info:
         enumerate_spanning_trees(graphs.K5, cap=10)
     assert info.value.count == 10
+
+
+def test_enumeration_refuses_a_graph_past_the_cap_by_its_tree_count():
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError) as info:
+        enumerate_spanning_trees(make_gk(7).graph)
+    assert time.perf_counter() - start < 1.0
+    assert info.value.count == DEFAULT_CAP
+
+
+def test_enumeration_without_the_tree_count_meets_the_cap_as_it_goes(monkeypatch):
+    # Past the Kirchhoff prime table there is no count to refuse by.
+    calls = []
+
+    def out_of_reach(g):
+        calls.append(g)
+        raise ValueError("degree product above the largest tabled Mersenne prime")
+
+    monkeypatch.setattr(treewalk.oracle, "count_spanning_trees_kirchhoff", out_of_reach)
+    assert len(enumerate_spanning_trees(graphs.K5)) == 125
+    with pytest.raises(CapExceededError) as info:
+        enumerate_spanning_trees(graphs.K5, cap=10)
+    assert info.value.count == 10
+    assert len(calls) == 2
 
 
 def test_enumeration_does_not_recurse_per_edge():
@@ -206,6 +231,16 @@ def test_gk_distances():
         assert d >= lower_bound_value(k)
     # regression values from this oracle; the bound above is the real contract
     assert measured == {1: 4, 2: 16, 3: 36, 4: 64}
+
+
+def test_gk_tree_graph_diameters_are_twice_the_gk_distances():
+    # At root 0 the leaf-move graph of G_k has diameter 8k^2, twice the
+    # distance between the instance's two trees.
+    for k in (1, 2, 3):
+        inst = make_gk(k)
+        diameter = tree_graph_diameter(inst.graph, 0)
+        assert diameter == 8 * k * k
+        assert diameter == 2 * tree_distance(inst.graph, inst.root, inst.tree_a, inst.tree_b)
 
 
 def test_disconnected_tree_graph_is_reported():

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from array import array
 from collections.abc import Sequence
@@ -580,13 +581,8 @@ def test_verify_walk_agrees_with_public_adjacency_tests():
             assert trees_adjacent_via_move(seq.trees[i], seq.trees[i + 1], 0)
 
 
-def test_an_untampered_walk_is_verified_in_the_regular_loop(monkeypatch):
-    # The first tree gets the one full check; every step of a real walk is
-    # regular, so no step falls back to the general adjacency test.
-    rng = random.Random(16)
-    g = random_biconnected_graph(64, rng)
-    t1, t2 = random_spanning_tree(g, 0, rng), random_spanning_tree(g, 0, rng)
-    seq = walk(g, 0, t1, t2)
+def _count_general_checks(monkeypatch) -> dict[str, int]:
+    """Calls that verify_walk makes to the two general checks, counted from now on."""
     module = importlib.import_module("treewalk.walk")
     calls = {"spanning_tree_violation": 0, "trees_adjacent": 0}
 
@@ -600,9 +596,69 @@ def test_an_untampered_walk_is_verified_in_the_regular_loop(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(module, name, counted(name))
+    return calls
+
+
+def test_an_untampered_walk_is_verified_in_the_regular_loop(monkeypatch):
+    # The first tree gets the one full check; every step of a real walk is
+    # regular, so no step falls back to the general adjacency test.
+    rng = random.Random(16)
+    g = random_biconnected_graph(64, rng)
+    t1, t2 = random_spanning_tree(g, 0, rng), random_spanning_tree(g, 0, rng)
+    seq = walk(g, 0, t1, t2)
+    calls = _count_general_checks(monkeypatch)
     assert verify_walk(g, 0, seq, source=t1, target=t2).ok
     assert len(seq.moves) > 1_000
     assert calls == {"spanning_tree_violation": 1, "trees_adjacent": 0}
+
+
+def test_steps_after_a_tree_certified_again_are_regular(monkeypatch):
+    # A vertex with children first stays on its parent (a regular step),
+    # then moves along a graph edge to a vertex outside its subtree and back:
+    # two spanning trees that only the general checks certify.  The walk
+    # after them is regular again.
+    rng = random.Random(16)
+    g = random_biconnected_graph(64, rng)
+    t1, t2 = random_spanning_tree(g, 0, rng), random_spanning_tree(g, 0, rng)
+    seq = walk(g, 0, t1, t2)
+    parents = t1.parents
+
+    def below(u, v):  # whether u lies in the subtree of v
+        while u != -1 and u != v:
+            u = parents[u]
+        return u == v
+
+    v, q = next((v, q) for v in range(1, g.n) if v in parents for q in g.adj[v]
+                if q != parents[v] and not below(q, v))
+    p = parents[v]
+    flat = array("i", [v, p, p, v, p, q, v, q, p]) + seq._flat
+    calls = _count_general_checks(monkeypatch)
+    report = verify_walk(g, 0, WalkSequence(t1, flat), source=t1, target=t2)
+    assert report.issues == tuple(
+        f"step {i}: not adjacent ({test} test)" for i in (1, 2) for test in ("intersection", "leaf-move")
+    )
+    assert calls == {"spanning_tree_violation": 3, "trees_adjacent": 2}
+
+
+def test_a_stale_claim_at_the_first_step_keeps_the_rest_regular():
+    # One recovered bad step must not send the steps after it down the
+    # general path: the tampered walk verifies about as fast as the clean one.
+    rng = random.Random(7)
+    g = random_biconnected_graph(128, rng)
+    seq = walk(g, 0, random_spanning_tree(g, 0, rng), random_spanning_tree(g, 0, rng))
+    assert len(seq.moves) > 15_000
+    flat = array("i", seq._flat)
+    flat[1] = -1
+    stale = WalkSequence(seq.source, flat)
+    assert verify_walk(g, 0, stale).issues == ("step 0: move old parent disagrees with tree",)
+    best = [float("inf")] * 2
+    for _ in range(5):  # interleaved, so that drift in the host's speed hits both
+        for i, s in enumerate((seq, stale)):
+            start = time.process_time()
+            verify_walk(g, 0, s)
+            best[i] = min(best[i], time.process_time() - start)
+    clean, tampered = best
+    assert tampered <= 1.3 * clean, f"{tampered:.4f} s against {clean:.4f} s"
 
 
 def test_walk_moves_round_trip():

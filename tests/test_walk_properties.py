@@ -300,7 +300,8 @@ def _parents_before(source: RootedSpanningTree, flat: array, step: int) -> list[
 
 
 TAMPERS = (
-    "redirect", "drop", "stale", "non-leaf", "non-edge", "root", "self-parent", "out-of-range",
+    "redirect", "drop", "stale", "non-leaf", "stay", "non-edge", "root", "self-parent",
+    "out-of-range",
 )
 
 
@@ -308,14 +309,17 @@ def _tamper(draw, g: Graph, source: RootedSpanningTree, flat: array, kind: str) 
     """Corrupt the move store ``flat`` in place with one tamper of ``kind``, if it has a step for it."""
     n, root = g.n, source.root
     count = len(flat) // 3
-    if kind == "non-leaf":
-        # A non-root vertex with a child rehung onto a neighbour, inserted at a drawn step.
+    if kind in ("non-leaf", "stay"):
+        # A non-root vertex with a child rehung onto a neighbour, or onto its
+        # own parent (the one step with a child that is regular), inserted at
+        # a drawn step.
         i = _step(draw, count + 1)
         parents = _parents_before(source, flat, i)
         held = sorted({p for v, p in enumerate(parents) if v != root and p != root})
         if held:
             v = draw(st.sampled_from(held))
-            flat[3 * i:3 * i] = array("i", [v, parents[v], draw(st.sampled_from(g.adj[v]))])
+            new = draw(st.sampled_from(g.adj[v])) if kind == "non-leaf" else parents[v]
+            flat[3 * i:3 * i] = array("i", [v, parents[v], new])
         return
     if kind == "root":
         i = _step(draw, count + 1)

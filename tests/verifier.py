@@ -1,11 +1,11 @@
-"""The single-loop reference for ``verify_walk``.
+"""The flag-based reference for ``verify_walk``.
 
 :func:`reference_verify_walk` checks every step in one loop: each step
 pays the range tests, the leaf-move and regularity flags and the three
 issue tests, and only a step that is not regular builds trees and runs the
-full check and the general adjacency test.  The package runs regular steps
-in a tighter loop first and hands the rest to the same general loop; its
-reports must equal this one's on every stream.
+full check and the general adjacency test.  The package's loop tests for a
+regular step first, with no flags, and gives every other step the general
+body; its reports must equal this one's on every stream.
 """
 
 from __future__ import annotations
