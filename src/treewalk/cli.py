@@ -18,9 +18,9 @@ import json
 import sys
 from pathlib import Path
 
-from .connectivity import NotBiconnectedError, st_numbering
+from .connectivity import st_numbering
 from .experiment import experiment_table
-from .graph import GraphFormatError, format_graph, format_tree, parse_graph, parse_tree
+from .graph import format_graph, format_tree, parse_graph, parse_tree
 from .lowerbound import lower_bound_value, make_gk
 from .oracle import (
     DEFAULT_CAP,
@@ -237,16 +237,13 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "cap", 0) < 0:
             raise ValueError(f"--cap must be non-negative, got {args.cap}")
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (_UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CapExceededError:
         print("ERROR cap-exceeded", file=sys.stderr)
         return 3
-    except (GraphFormatError, NotBiconnectedError, TreeGraphDisconnectedError, ValueError) as exc:
+    except (TreeGraphDisconnectedError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

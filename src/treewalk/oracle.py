@@ -8,21 +8,16 @@ canonical because rooting a tree at a fixed vertex determines the parent of
 every other vertex.
 
 Trees are counted by the matrix-tree theorem, independently of enumeration:
-sparse elimination of the reduced Laplacian L0 in minimum-degree order,
-modulo the smallest Mersenne prime P above H = prod of deg(v), v != 0.  One
-prime is exact.  Every principal minor of L0 lies in [0, H] (Hadamard), so
-a pivot, a ratio of nested minors, is 0 mod P only when that minor is 0.
-Such a minor makes L0 singular, so the graph is disconnected and the count
-is 0; otherwise the pivots multiply to the count mod P, which is the count.
+sparse fraction-free elimination of the reduced Laplacian L0 in
+minimum-degree order, over the integers.  Every entry it stores is a minor
+of L0, so every division is exact and the count needs no modulus and has
+no size limit.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from contextlib import suppress
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from math import prod
 from typing import Iterator, Sequence
 
 from .graph import (
@@ -90,7 +85,8 @@ def _spanning_trees(g: Graph, root: int, cap: int) -> Iterator[RootedSpanningTre
 
     A graph whose matrix-tree count is above ``cap`` raises
     ``CapExceededError(cap)`` before the first tree, as enumeration would at
-    tree ``cap + 1``; past that count's prime table, enumeration meets the cap.
+    tree ``cap + 1``; enumeration still meets the cap as it goes, which
+    catches a wrong count.
 
     Backtracking over edge inclusion/exclusion in sorted edge order, with an
     explicit stack, so the depth is not bounded by the recursion limit.  A
@@ -111,9 +107,8 @@ def _spanning_trees(g: Graph, root: int, cap: int) -> Iterator[RootedSpanningTre
     n = g.n
     if not 0 <= root < n:
         raise ValueError(f"root {root} out of range for {n} vertices")
-    with suppress(ValueError):  # past the prime table, enumeration alone meets the cap
-        if count_spanning_trees_kirchhoff(g) > cap:
-            raise CapExceededError(cap)
+    if count_spanning_trees_kirchhoff(g) > cap:
+        raise CapExceededError(cap)
     edges = sorted(g.edges)
     m = len(edges)
     found = 0
@@ -143,56 +138,30 @@ def _spanning_trees(g: Graph, root: int, cap: int) -> Iterator[RootedSpanningTre
         stack.append((idx + 1, count + 1, forest, label))
 
 
-# Exponents e of the Mersenne primes 2^e - 1, ascending.
-_MERSENNE_EXPONENTS = (
-    2, 3, 5, 7, 13, 17, 19, 31, 61, 89, 107, 127, 521, 607, 1279,
-    2203, 2281, 3217, 4253, 4423, 9689, 9941, 11213,
-)
-_MERSENNE_PRIMES = tuple((1 << e) - 1 for e in _MERSENNE_EXPONENTS)
-
-
-def _mersenne_modulus(bound: int) -> int:
-    """The smallest tabled Mersenne prime above ``bound``."""
-    i = bisect_right(_MERSENNE_PRIMES, bound)
-    if i == len(_MERSENNE_PRIMES):
-        raise ValueError(
-            f"degree product has {bound.bit_length()} bits, above the largest "
-            f"tabled Mersenne prime 2^{_MERSENNE_EXPONENTS[-1]} - 1"
-        )
-    return _MERSENNE_PRIMES[i]
-
-
 def count_spanning_trees_kirchhoff(g: Graph) -> int:
     """Number of spanning trees: the determinant of the reduced Laplacian.
 
-    L0 is the Laplacian with row and column 0 deleted, held as one dict per
-    row.  Sparse Gaussian elimination runs on it modulo the smallest
-    Mersenne prime P above H = prod of deg(v) for v != 0, taking as the next
-    pivot a row of minimum length (a heap with lazy entries) and filling in
-    the entries the elimination creates.  One prime gives the exact count:
-
-    - L0 is positive semidefinite with diagonal deg(v), so by Hadamard's
-      inequality every principal minor lies in [0, H], and H < P;
-    - the k-th pivot is D_k / D_(k-1), a ratio of nested principal minors,
-      so it is 0 mod P exactly when D_k = 0;
-    - a singular principal submatrix means L0 is not positive definite,
-      so the graph is disconnected, and 0 is returned;
-    - otherwise the pivots multiply to the count mod P, and the count lies
-      in [0, H], so it is the count itself.
-
-    (A vertex v != 0 of degree 0 makes H = 0; its row stays the zero
-    diagonal, so its pivot is exactly 0 and 0 is returned.)  An updated
-    entry is folded at bit e of P = 2^e - 1, as 2^e = 1 mod P, which keeps
-    it within P + 5 of 0 without a division; pivots and pivot rows are
-    reduced fully.
-
     Vertices of degree 1 are peeled off first, and then those that drop to
     degree 1, as every spanning tree holds their one edge: the count is
-    unchanged.  All of the above is then said of the peeled graph, with its
-    lowest remaining vertex in the place of vertex 0 and degrees counted in
-    it, so a tree counts 1 at any size.  Raises ``ValueError`` when H still
-    reaches the largest tabled prime, as on a cycle of more than 11,213
-    vertices.
+    unchanged, and a tree counts 1 at any size.  L0 is the Laplacian of the
+    peeled graph with the row and column of its lowest vertex deleted, held
+    as one dict per row.  Sparse fraction-free (Bareiss) elimination runs on
+    it over the integers, taking as the next pivot a row of minimum length
+    (a heap with lazy entries) and filling in the entries it creates.
+
+    Step t, with pivot p and the previous pivot ``prev`` (1 at first), sets
+    each entry of a row i that the pivot row reaches to
+    (p * a_ij - a_ik * a_kj) // prev.  By Sylvester's identity every entry
+    is then a minor of L0, so the division is exact and the last pivot is
+    det L0.  A row the pivot row misses only gains the factor p / prev, so
+    it is not rewritten: ``scale[i]`` is the pivot that row i was last
+    brought up to date with, and its true entries are
+    ``stored * prev // scale[i]``.
+
+    L0 is symmetric, and stays so, so the pivot row also lists the pivot
+    column.  It is positive semidefinite, and a pivot is the principal minor
+    on the rows eliminated so far, so a zero pivot makes L0 singular: the
+    graph is disconnected, and 0 is returned.
     """
     adj = g.adj
     degree = list(map(len, adj))
@@ -208,8 +177,6 @@ def count_spanning_trees_kirchhoff(g: Graph) -> int:
             leaves.append(u)
     kept = [v for v in range(g.n) if not gone[v]]
     gone[kept[0]] = True  # the deleted row and column
-    p = _mersenne_modulus(prod(map(degree.__getitem__, kept[1:])))
-    e = p.bit_length()
     rows: list[dict[int, int] | None] = [None] * g.n
     for v in kept[1:]:
         row = dict.fromkeys([w for w in adj[v] if not gone[w]], -1)
@@ -217,30 +184,41 @@ def count_spanning_trees_kirchhoff(g: Graph) -> int:
         rows[v] = row
     heap = [(len(row), v) for v, row in enumerate(rows) if row is not None]
     heapify(heap)
-    count = 1
+    scale = [1] * g.n
+    prev = 1
     while heap:
         length, k = heappop(heap)
         row_k = rows[k]
         if row_k is None or len(row_k) != length:
             continue  # eliminated, or its length changed since this entry
         rows[k] = None
-        pivot = row_k.pop(k) % p
+        s = scale[k]
+        if s != prev:
+            for j, b in row_k.items():
+                row_k[j] = b * prev // s
+        pivot = row_k.pop(k)
         if not pivot:
             return 0
-        count = count * pivot % p
-        inv = pow(pivot, -1, p)
-        # L0 stays symmetric, so row k also holds column k.
-        items = [(j, b % p) for j, b in row_k.items()]
+        items = row_k.items()
         for i, a in items:
             row_i = rows[i]
             del row_i[k]
-            f = a * inv % p
+            s = scale[i]
+            if s != prev:
+                for j, b in row_i.items():
+                    row_i[j] = b * prev // s * pivot
+            else:
+                for j, b in row_i.items():
+                    row_i[j] = b * pivot
             get = row_i.get
             for j, b in items:
-                x = get(j, 0) - f * b
-                row_i[j] = (x & p) + (x >> e)
+                row_i[j] = get(j, 0) - a * b
+            for j, x in row_i.items():
+                row_i[j] = x // prev
+            scale[i] = pivot
             heappush(heap, (len(row_i), i))
-    return count
+        prev = pivot
+    return prev
 
 
 class _PackedTrees:
@@ -445,7 +423,6 @@ def tree_graph_diameter(g: Graph, a: int, cap: int = DEFAULT_CAP) -> int:
     a list of numbers, and one BFS per tree runs over those lists.  Raises
     ValueError when ``g`` has no spanning tree.
     """
-    _check_cap(cap)
     space = _PackedTrees(g, a)
     keys = [space.pack(t) for t in enumerate_spanning_trees(g, root=a, cap=cap)]
     if not keys:
