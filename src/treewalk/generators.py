@@ -48,6 +48,8 @@ def random_biconnected_graph(
 
 def random_spanning_tree(g: Graph, root: int, rng: random.Random) -> RootedSpanningTree:
     """Spanning tree from a randomized depth-first search rooted at ``root``."""
+    if not 0 <= root < g.n:
+        raise ValueError(f"root {root} out of range for {g.n} vertices")
     parents = [-1] * g.n
     seen = [False] * g.n
     seen[root] = True

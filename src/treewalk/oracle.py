@@ -26,6 +26,7 @@ from .graph import (
     RootedSpanningTree,
     _check_tree_pair,
     _find,
+    _hang,
 )
 from .walk import WalkSequence, _rehangs
 
@@ -57,16 +58,6 @@ def _connects(edges: list[tuple[int, int]], start: int, comp: list[int], parts: 
             label[ru] = rv
             parts -= 1
     return parts == 1
-
-
-def _hang(forest: list[int], v: int, u: int) -> None:
-    """Reverse the path from ``v`` to its top, so that ``v`` tops it, and point ``v`` at ``u``."""
-    while True:
-        up = forest[v]
-        forest[v] = u
-        if up == v:
-            return
-        u, v = v, up
 
 
 def _check_cap(cap: int) -> None:

@@ -72,13 +72,6 @@ def _rehangs(seq: WalkSequence, count: int | None = None) -> Iterator[tuple[int,
         yield v, new
 
 
-def _replay(seq: WalkSequence, count: int | None = None) -> RootedSpanningTree:
-    parents = list(seq.source.parents)
-    for v, new in _rehangs(seq, count):
-        parents[v] = new
-    return RootedSpanningTree(seq.source.root, tuple(parents))
-
-
 def _reversed_moves(flat: array) -> array:
     """The move store of the reversed walk: the moves backwards, each one undone."""
     out = flat[::-1]  # each move now reads (new parent, old parent, vertex)
@@ -117,7 +110,7 @@ class WalkSequence:
 
     @property
     def target(self) -> RootedSpanningTree:
-        return _replay(self)
+        return self.trees[-1]
 
     def __len__(self) -> int:
         return len(self._flat) // 3 + 1
@@ -180,7 +173,7 @@ class WalkTrees(Sequence):
                 return tuple(self._ascending(wanted))
             return tuple(self._ascending(wanted[::-1]))[::-1]
         i = range(len(self))[i]
-        return _replay(self._walk, i)
+        return next(self._ascending(range(i, i + 1)))
 
     def __iter__(self) -> Iterator[RootedSpanningTree]:
         return self._ascending(range(len(self)))

@@ -67,3 +67,7 @@ def test_random_tree_rejects_disconnected_graph():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
     with pytest.raises(ValueError, match="not connected"):
         random_spanning_tree(g, 0, random.Random(0))
+    # a root outside 0..n-1 is refused before any search
+    for root in (-1, g.n, 99):
+        with pytest.raises(ValueError, match=f"^root {root} out of range for 4 vertices$"):
+            random_spanning_tree(g, root, random.Random(0))

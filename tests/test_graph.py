@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -93,19 +94,39 @@ def test_tree_from_edges_rejects_non_trees():
         tree_from_edges(4, [(0, 1), (1, 2), (0, 2)], root=0)  # cycle misses vertex 3
     with pytest.raises(ValueError, match=r"edge \(0, 2\) closes a cycle"):
         tree_from_edges(4, [(0, 1), (1, 2), (0, 2)], root=0)
-    # the cycle 1-2-3 is found while its edges wait for a reached end
-    with pytest.raises(ValueError, match="does not form a spanning tree"):
+    with pytest.raises(ValueError, match=r"edge \(1, 3\) closes a cycle"):
         tree_from_edges(4, [(1, 2), (2, 3), (1, 3)], root=0)
-    with pytest.raises(ValueError, match="does not form a spanning tree"):
+    with pytest.raises(ValueError, match=r"edge \(2, 3\) closes a cycle"):
         tree_from_edges(4, [(0, 1), (2, 3), (2, 3)], root=0)
+    with pytest.raises(ValueError, match=r"edge \(2, 2\) closes a cycle"):
+        tree_from_edges(3, [(0, 1), (2, 2)], root=0)
     # an end outside 0..n-1 is refused, not read as another vertex
     with pytest.raises(ValueError, match=r"edge \(0, -1\) out of range for n=3"):
         tree_from_edges(3, [(0, -1), (0, 1)], root=0)
     with pytest.raises(ValueError, match=r"edge \(0, 5\) out of range for n=3"):
         tree_from_edges(3, [(0, 5), (1, 2)], root=0)
-    # waiting edges are hung once an end is reached, whatever the edge order
+    # edges in any order, either way round, orient the same tree
     assert tree_from_edges(5, [(3, 4), (2, 3), (1, 2), (0, 1)], root=0).parents == (-1, 0, 1, 2, 3)
     assert tree_from_edges(5, [(3, 4), (0, 4), (1, 2), (1, 3)], root=2).parents == (4, 2, -1, 1, 3)
+
+
+def test_tree_from_edges_orients_long_paths_and_random_trees_fast():
+    # In a path grown at alternating ends every edge joins a new vertex to a
+    # long path: only hanging the smaller side keeps that cheap both ways round.
+    n = 200_000
+    zigzag = [(0, 1)] + [(v - 2, v) for v in range(2, n)]
+    rng = random.Random(3)
+    tree = [(rng.randrange(v), v) for v in range(1, n)]
+    expected = tuple([-1, 0] + list(range(n - 2)))
+    for edges, parents in (
+        (zigzag, expected),
+        ([(v, u) for u, v in zigzag], expected),
+        (rng.sample(tree, len(tree)), tuple([-1] + [u for u, v in tree])),
+    ):
+        start = time.perf_counter()
+        result = tree_from_edges(n, edges, root=0)
+        assert time.perf_counter() - start < 2.0
+        assert result.parents == parents
 
 
 def test_leaf_move_basics():
