@@ -7,13 +7,18 @@ for a path the trees it has stored, and for a count or a diameter the trees
 enumerated; experiment leaves the distance of a row that hits the cap empty.
 
 The argument parser is built once per process, on the first call of main,
-and every later call reuses it.
+and every later call reuses it.  While a command runs, main pauses the
+cyclic garbage collector, which finds no cycles in the commands' data yet
+took about a sixth of stnum or partition on a 20,000-vertex graph; it is
+back on, if it was on, however the command ends.  Reference cycles that
+other threads make meanwhile wait until the command returns.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
 from pathlib import Path
@@ -232,6 +237,8 @@ def _build_parser() -> _Parser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         args = parser.parse_args(argv)
         if getattr(args, "cap", 0) < 0:
@@ -246,6 +253,9 @@ def main(argv: list[str] | None = None) -> int:
     except (TreeGraphDisconnectedError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

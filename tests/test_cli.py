@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import io
 import json
 import os
@@ -9,7 +10,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from contextlib import redirect_stdout
+from contextlib import contextmanager, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -42,6 +43,30 @@ def _write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+def _tampered_walk_text() -> str:
+    """The triangle's STAR-to-PATH walk with its first move repeated at the end."""
+    seq = walk(graphs.TRIANGLE, 0, STAR, PATH)
+    first = seq.moves[0]
+    return format_walk_moves(seq) + f"{first.vertex} {first.old_parent} {first.new_parent}\n"
+
+
+@contextmanager
+def _collector(on: bool):
+    """The cyclic garbage collector switched on or off for the block, then as it was."""
+    was_on = gc.isenabled()
+    if on:
+        gc.enable()
+    else:
+        gc.disable()
+    try:
+        yield
+    finally:
+        if was_on:
+            gc.enable()
+        else:
+            gc.disable()
 
 
 def test_stnum(tmp_path, capsys):
@@ -127,10 +152,7 @@ def test_walk_tree_format_streams_in_less_memory_than_its_text(tmp_path):
 
 def test_verify_flags_tampered_walk(tmp_path, capsys):
     g = _write(tmp_path, "g.txt", TRI_TEXT)
-    seq = walk(graphs.TRIANGLE, 0, STAR, PATH)
-    first = seq.moves[0]
-    tampered = format_walk_moves(seq) + f"{first.vertex} {first.old_parent} {first.new_parent}\n"
-    w = _write(tmp_path, "w.txt", tampered)
+    w = _write(tmp_path, "w.txt", _tampered_walk_text())
     assert main(["verify", "--graph", g, w]) == 2
     assert "result: FAIL" in capsys.readouterr().out
 
@@ -299,15 +321,20 @@ def test_usage_errors(capsys):
 
 
 def _session(argvs, capsys):
-    """(exit code, stdout, stderr) of each command run in turn."""
+    """(exit code, stdout, stderr, collector on) of each command run in turn.
+
+    A RuntimeError that escapes main stands in for its exit code as its repr.
+    """
     out = []
     for argv in argvs:
         try:
             code = main(argv)
         except SystemExit as exc:  # --help exits from inside argparse
             code = exc.code
+        except RuntimeError as exc:
+            code = repr(exc)
         captured = capsys.readouterr()
-        out.append((code, captured.out, captured.err))
+        out.append((code, captured.out, captured.err, gc.isenabled()))
     return out
 
 
@@ -325,13 +352,38 @@ def test_the_shared_parser_answers_as_fresh_ones_do(tmp_path, capsys, monkeypatc
         ["oracle", "distance", "--help"],
     ]
     shared = _session(argvs, capsys)
-    assert [code for code, _, _ in shared] == [1, 2, 0, 0, 0, 0]
+    assert [code for code, _, _, _ in shared] == [1, 2, 0, 0, 0, 0]
     seq = walk(graphs.TRIANGLE, 0, STAR, PATH)
     assert shared[3][1] == format_walk_moves(seq)
     assert shared[4][1].startswith("usage: treewalk ")
     fresh = treewalk.cli._build_parser.__wrapped__
     monkeypatch.setattr(treewalk.cli, "_build_parser", lambda: fresh())
     assert _session(argvs, capsys) == shared
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["collector-on", "collector-off"])
+def test_main_leaves_the_collector_as_it_found_it(collecting, tmp_path, capsys, monkeypatch):
+    g = _write(tmp_path, "g.txt", TRI_TEXT)
+    k5 = _write(tmp_path, "k5.txt", format_graph(graphs.K5))
+    argvs = [
+        ["lower-bound", "--k", "2"],
+        ["walk", "--graph", g],
+        ["lower-bound", "--k", "-3"],
+        ["oracle", "count", "--graph", k5, "--cap", "10"],
+        ["--help"],
+        ["stnum", "--graph", g, "0", "1"],
+    ]
+
+    def fail(*args):
+        raise RuntimeError("st_numbering failed")
+
+    monkeypatch.setattr(treewalk.cli, "st_numbering", fail)
+    with _collector(collecting):
+        got = _session(argvs, capsys)
+    assert [(code, on) for code, _, _, on in got] == [
+        (0, collecting), (1, collecting), (2, collecting), (3, collecting), (0, collecting),
+        ("RuntimeError('st_numbering failed')", collecting),
+    ]
 
 
 def test_importing_the_cli_builds_no_parser():
@@ -397,6 +449,17 @@ def _readme_transcript() -> list[tuple[list[str], list[str]]]:
     return commands
 
 
+def _run_redirected(argv, capsys) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of main(argv), with a trailing ``> FILE`` done as a shell would."""
+    redirect = argv.index(">") if ">" in argv else None
+    code = main(argv[:redirect])
+    out, err = capsys.readouterr()
+    if redirect is not None:
+        Path(argv[redirect + 1]).write_text(out)
+        out = ""
+    return code, out, err
+
+
 def test_readme_command_line_transcript(tmp_path, monkeypatch, capsys):
     # The README shows spaces where experiment prints tabs, so lines are
     # compared field by field.  partition reports its strategy on stderr.
@@ -404,11 +467,36 @@ def test_readme_command_line_transcript(tmp_path, monkeypatch, capsys):
     transcript = _readme_transcript()
     assert len(transcript) == 8
     for argv, expected in transcript:
-        redirect = argv.index(">") if ">" in argv else None
-        assert main(argv[:redirect]) == 0, argv
-        out, err = capsys.readouterr()
-        if redirect is not None:
-            Path(argv[redirect + 1]).write_text(out)
-            out = ""
+        code, out, err = _run_redirected(argv, capsys)
+        assert code == 0, argv
         got = err.splitlines() + out.splitlines()
         assert [line.split() for line in got] == [line.split() for line in expected], argv
+
+
+def test_commands_leave_no_cyclic_garbage(tmp_path, monkeypatch, capsys):
+    # main pauses the collector because the commands build no reference
+    # cycles; a command that made a cycle per step would hold them all until
+    # it returned.  The collector stays off here, so each gc.collect() finds
+    # exactly what one command left behind.
+    monkeypatch.chdir(tmp_path)
+    g = _write(tmp_path, "g.txt", TRI_TEXT)
+    tampered = _write(tmp_path, "tampered.txt", _tampered_walk_text())
+    k5 = _write(tmp_path, "k5.txt", format_graph(graphs.K5))
+    rng = random.Random(23)
+    big_graph = random_biconnected_graph(2000, rng, extra_edges=1000)
+    big = _write(tmp_path, "big.txt", format_graph(big_graph))
+    s, t = rng.choice(sorted(big_graph.edges))
+    u1, u2 = rng.sample(range(big_graph.n), 2)
+    commands = [(argv, 0) for argv, _ in _readme_transcript()] + [
+        (["verify", "--graph", g, tampered], 2),
+        (["oracle", "count", "--graph", k5, "--cap", "5"], 3),
+        (["stnum", "--graph", big, str(s), str(t)], 0),
+        (["partition", "--graph", big, "--u1", str(u1), "--u2", str(u2), "--n1", "700"], 0),
+    ]
+    with _collector(False):
+        for argv, _ in commands:  # the warm-up: imports, the parser, caches
+            _run_redirected(argv, capsys)
+        gc.collect()
+        for argv, expected_code in commands:
+            assert _run_redirected(argv, capsys)[0] == expected_code, argv
+            assert gc.collect() <= 20, argv
