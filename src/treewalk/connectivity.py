@@ -114,20 +114,30 @@ def is_biconnected(g: Graph) -> bool:
 
 
 def st_numbering(g: Graph, s: int, t: int) -> STNumbering:
-    """Compute an st-numbering of a biconnected graph for the edge (s, t).
+    """The st-numbering of :func:`_st_order` for an edge (s, t), checked before it is returned.
+
+    Raises ValueError unless (s, t) is an edge, then NotBiconnectedError if ``g`` is not 2-connected.
+    """
+    if not g.has_edge(s, t):
+        raise ValueError(f"({s}, {t}) is not a graph edge")
+    result = _st_order(g, s, t)
+    if not validate_st_numbering(g, result, s, t):
+        raise AssertionError(f"st_numbering built an invalid order for ({s}, {t})")
+    return result
+
+
+def _st_order(g: Graph, s: int, t: int) -> STNumbering:
+    """An st-numbering of ``g`` plus the edge (s, t), unchecked.
 
     Depth-first search from t taking the edge (t, s) first gives lowpoints,
     which decide biconnectivity; a second pass peels paths of unplaced
     vertices between placed ones off the structure and splices them into a
     growing vertex order (Even and Tarjan's scheme).  An edge is used once
     its lower end is placed, so one flag per vertex replaces a set of used
-    edges.  Output is deterministic: neighbor lists are scanned in
-    ascending vertex order, and it is checked before it is returned.
-    Raises ValueError unless (s, t) is an edge, then NotBiconnectedError
-    unless ``g`` is 2-vertex-connected.
+    edges.  Neighbor lists are scanned in ascending order.  The edge (s, t)
+    is never read (t leaves along it first, s skips t, its parent), so ``g``
+    need not hold it.  Raises NotBiconnectedError unless ``g`` + (s, t) is 2-connected.
     """
-    if not g.has_edge(s, t):
-        raise ValueError(f"({s}, {t}) is not a graph edge")
     search = _lowpoint_search(g, s, t)
     if search is None:
         raise NotBiconnectedError("st-numbering requires a 2-vertex-connected graph")
@@ -151,10 +161,7 @@ def st_numbering(g: Graph, s: int, t: int) -> STNumbering:
                         u = step[u]
                     work += reversed(path)
         order.append(v)
-    result = STNumbering(tuple(order))
-    if not validate_st_numbering(g, result, s, t):
-        raise AssertionError(f"st_numbering built an invalid order for ({s}, {t})")
-    return result
+    return STNumbering(tuple(order))
 
 
 def validate_st_numbering(g: Graph, num: STNumbering, s: int, t: int) -> bool:

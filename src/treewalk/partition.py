@@ -8,21 +8,15 @@ suffix, which turns the problem into choosing the right numbering.
 
 from __future__ import annotations
 
-import logging
-
-from .connectivity import NotBiconnectedError, st_numbering
+from .connectivity import NotBiconnectedError, _extreme_neighbors, _st_order, st_numbering
 from .graph import Graph
-
-log = logging.getLogger(__name__)
 
 
 def _induced_connected(g: Graph, part: set[int]) -> bool:
     start = next(iter(part))
-    seen = {start}
-    stack = [start]
+    seen, stack = {start}, [start]
     while stack:
-        v = stack.pop()
-        for w in g.adj[v]:
+        for w in g.adj[stack.pop()]:
             if w in part and w not in seen:
                 seen.add(w)
                 stack.append(w)
@@ -50,45 +44,41 @@ def validate_partition2(
     return None
 
 
-def _partition2_impl(g: Graph, u1: int, u2: int, n1: int) -> tuple[set[int], set[int], str]:
-    n = g.n
-    if g.has_edge(u1, u2):
-        num = st_numbering(g, u1, u2)
-        return set(num.order[:n1]), set(num.order[n1:]), "direct-edge"
-    if not g.adj[u1]:
-        raise NotBiconnectedError(f"anchor {u1} has no neighbor")
-    num = st_numbering(g, u1, min(g.adj[u1]))
-    if num.positions[u2] > n1:
-        return set(num.order[:n1]), set(num.order[n1:]), "from-first-anchor"
-    num = st_numbering(g, u2, min(g.adj[u2]))
-    if num.positions[u1] > n - n1:
-        return set(num.order[n - n1:]), set(num.order[:n - n1]), "from-second-anchor"
-    # Always succeeds: number the graph plus a virtual (u1, u2) edge.  The
-    # prefix/suffix connectivity argument only uses edges at interior
-    # vertices, so the partition is valid in the original graph too.
-    log.info("partition2 fallback engaged for u1=%d u2=%d n1=%d", u1, u2, n1)
-    augmented = Graph.from_edges(n, sorted(g.edges | {(min(u1, u2), max(u1, u2))}))
-    num = st_numbering(augmented, u1, u2)
-    return set(num.order[:n1]), set(num.order[n1:]), "virtual-edge"
-
-
 def partition2(g: Graph, u1: int, u2: int, n1: int) -> tuple[set[int], set[int]]:
     """Connected partition (V1, V2) with u1 in V1, u2 in V2, |V1| = n1."""
-    v1, v2, _ = partition2_with_strategy(g, u1, u2, n1)
-    return v1, v2
+    return partition2_with_strategy(g, u1, u2, n1)[:2]
 
 
-def partition2_with_strategy(
-    g: Graph, u1: int, u2: int, n1: int
-) -> tuple[set[int], set[int], str]:
-    """Same as :func:`partition2` but also reports which strategy produced it."""
+def partition2_with_strategy(g: Graph, u1: int, u2: int, n1: int) -> tuple[set[int], set[int], str]:
+    """Same as :func:`partition2` but also reports which strategy produced it.
+
+    Cuts after position n1 the st-numbering from u1 along the edge to u2
+    ("direct-edge", which puts u2 last), else along u1's lowest neighbor if
+    u2 falls after the cut ("from-first-anchor"), else that of g plus a
+    virtual edge (u1, u2), valid in g too since only edges at interior
+    vertices connect a prefix or a suffix ("virtual-edge").
+    """
     if u1 == u2:
         raise ValueError("anchors must be distinct")
     if not (0 <= u1 < g.n and 0 <= u2 < g.n):
         raise ValueError("anchor out of range")
     if not 1 <= n1 <= g.n - 1:
         raise ValueError(f"n1 must be in [1, {g.n - 1}], got {n1}")
-    v1, v2, strategy = _partition2_impl(g, u1, u2, n1)
+    if not g.adj[u1]:
+        raise NotBiconnectedError(f"anchor {u1} has no neighbor")
+    strategy = "direct-edge" if g.has_edge(u1, u2) else "from-first-anchor"
+    num = st_numbering(g, u1, u2 if strategy == "direct-edge" else min(g.adj[u1]))
+    if num.positions[u2] <= n1:
+        num, strategy = _st_order(g, u1, u2), "virtual-edge"
+        # No anchor is isolated, so this is validate_st_numbering in g plus (u1, u2).
+        try:
+            _extreme_neighbors(g, num)
+            valid = (num.order[0], num.order[-1]) == (u1, u2)
+        except ValueError:
+            valid = False
+        if not valid:
+            raise AssertionError(f"partition2 built an invalid order for ({u1}, {u2}) as an edge")
+    v1, v2 = set(num.order[:n1]), set(num.order[n1:])
     problem = validate_partition2(g, v1, v2, u1, u2, n1)
     if problem is not None:
         raise RuntimeError(f"internal error: produced partition invalid ({problem})")

@@ -94,9 +94,11 @@ class WalkSequence:
     _flat: array = field(hash=False)
 
     def __init__(self, source: RootedSpanningTree, moves: Iterable[LeafMove] | array):
-        """``moves`` are packed once, unless they already are a move store: that is taken over."""
+        """``moves`` are packed once; a move store, an ``array('i')`` of whole triples, is taken over."""
         if not isinstance(moves, array):
             moves = array("i", [x for v, old, new in moves for x in (v, old, new)])
+        elif moves.typecode != "i" or len(moves) % 3:
+            raise ValueError(f"not a move store: array('{moves.typecode}') of length {len(moves)}")
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "_flat", moves)
 

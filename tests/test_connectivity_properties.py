@@ -20,6 +20,7 @@ from treewalk import (  # noqa: E402
     st_numbering,
     validate_st_numbering,
 )
+from treewalk.connectivity import _st_order  # noqa: E402
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
 
@@ -117,3 +118,27 @@ def test_st_numbering_refuses_what_the_reference_refuses(inst):
             st_numbering(g, s, t)
     else:
         assert st_numbering(g, s, t).order == expected
+
+
+@st.composite
+def graphs_with_a_non_edge(draw):
+    """(graph, s, t): a drawn graph on 3..9 vertices, often 2-connected, and two non-adjacent vertices."""
+    g, _, _ = draw(graphs_with_an_edge())
+    s, t = draw(st.permutations(range(g.n)))[:2]
+    assume(not g.has_edge(s, t))
+    return g, s, t
+
+
+@SETTINGS
+@given(graphs_with_a_non_edge())
+def test_st_order_numbers_a_virtual_edge_in_place(inst):
+    # The graph rebuilt with the edge is the reference for numbering it in place.
+    g, s, t = inst
+    rebuilt = Graph.from_edges(g.n, sorted(g.edges | {(min(s, t), max(s, t))}))
+    try:
+        expected = st_numbering(rebuilt, s, t).order
+    except NotBiconnectedError:
+        with pytest.raises(NotBiconnectedError):
+            _st_order(g, s, t)
+    else:
+        assert _st_order(g, s, t).order == expected

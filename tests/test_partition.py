@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import itertools
-import logging
 import random
 
 import pytest
@@ -16,6 +15,7 @@ from treewalk import (
 )
 
 import graphs
+import treewalk.connectivity
 
 
 def test_triangle_example():
@@ -25,46 +25,67 @@ def test_triangle_example():
 
 
 def test_each_strategy_is_reachable():
-    cases = {
-        "direct-edge": (graphs.TRIANGLE, 0, 1, 1),
-        "from-first-anchor": (graphs.C4, 0, 2, 1),
-        "from-second-anchor": (graphs.C4, 0, 2, 3),
-        "virtual-edge": (graphs.C6, 0, 4, 3),
-    }
-    for expected, (g, u1, u2, n1) in cases.items():
+    cases = [
+        ("direct-edge", (graphs.TRIANGLE, 0, 1, 1)),
+        ("from-first-anchor", (graphs.C4, 0, 2, 1)),
+        ("virtual-edge", (graphs.C4, 0, 2, 3)),
+        ("virtual-edge", (graphs.C6, 0, 4, 3)),
+    ]
+    for expected, (g, u1, u2, n1) in cases:
         v1, v2, strategy = partition2_with_strategy(g, u1, u2, n1)
         assert strategy == expected
         assert validate_partition2(g, v1, v2, u1, u2, n1) is None
 
 
-def test_fallback_logs_when_engaged(caplog):
-    with caplog.at_level(logging.INFO, logger="treewalk.partition"):
-        partition2(graphs.C6, 0, 4, 3)
-    assert any("fallback" in rec.message for rec in caplog.records)
-
-
-def test_exhaustive_small_corpus():
+def _small_corpus():
+    """(name, g, u1, u2, n1) for every anchor pair and size on the corpus graphs with n <= 6."""
     for name, g in graphs.BICONNECTED.items():
         if g.n > 6:
             continue
         for u1, u2 in itertools.permutations(range(g.n), 2):
             for n1 in range(1, g.n):
-                v1, v2 = partition2(g, u1, u2, n1)
-                problem = validate_partition2(g, v1, v2, u1, u2, n1)
-                assert problem is None, f"{name} u1={u1} u2={u2} n1={n1}: {problem}"
+                yield name, g, u1, u2, n1
 
 
-def test_random_instances():
+def _random_instances():
+    """(index, g, u1, u2, n1) for 200 random biconnected graphs on 4..24 vertices."""
     rng = random.Random(71)
-    for _ in range(200):
+    for i in range(200):
         g = random_biconnected_graph(rng.randint(4, 24), rng)
         u1 = rng.randrange(g.n)
         u2 = rng.randrange(g.n)
         while u2 == u1:
             u2 = rng.randrange(g.n)
-        n1 = rng.randint(1, g.n - 1)
+        yield i, g, u1, u2, rng.randint(1, g.n - 1)
+
+
+def test_exhaustive_small_corpus():
+    for name, g, u1, u2, n1 in _small_corpus():
+        v1, v2 = partition2(g, u1, u2, n1)
+        problem = validate_partition2(g, v1, v2, u1, u2, n1)
+        assert problem is None, f"{name} u1={u1} u2={u2} n1={n1}: {problem}"
+
+
+def test_random_instances():
+    for _, g, u1, u2, n1 in _random_instances():
         v1, v2 = partition2(g, u1, u2, n1)
         assert validate_partition2(g, v1, v2, u1, u2, n1) is None
+
+
+def test_at_most_two_st_numberings_per_partition(monkeypatch):
+    searches = []
+    search = treewalk.connectivity._lowpoint_search
+
+    def counted(g, s, t):
+        searches.append((s, t))
+        return search(g, s, t)
+
+    monkeypatch.setattr(treewalk.connectivity, "_lowpoint_search", counted)
+    for label, g, u1, u2, n1 in itertools.chain(_small_corpus(), _random_instances()):
+        searches.clear()
+        partition2(g, u1, u2, n1)
+        limit = 1 if g.has_edge(u1, u2) else 2
+        assert 1 <= len(searches) <= limit, f"{label} u1={u1} u2={u2} n1={n1}: {searches}"
 
 
 def test_rejects_bad_inputs():

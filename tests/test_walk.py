@@ -770,6 +770,14 @@ def test_walk_sequence_packs_the_moves_it_is_given():
     assert WalkSequence(seq.source, store) == seq and WalkSequence(seq.source, store)._flat is store
 
 
+def test_walk_sequence_refuses_a_store_it_cannot_read():
+    # A trailing partial move would be dropped, and floats would come back as moves.
+    source = RootedSpanningTree(0, (-1, 0))
+    for store in (array("i", [1, 0]), array("d", [1, 0, 0])):
+        with pytest.raises(ValueError, match="not a move store"):
+            WalkSequence(source, store)
+
+
 def test_walk_store_holds_no_per_move_objects():
     rng = random.Random(3)
     g = random_biconnected_graph(128, rng)
