@@ -114,20 +114,17 @@ def is_biconnected(g: Graph) -> bool:
 
 
 def st_numbering(g: Graph, s: int, t: int) -> STNumbering:
-    """The st-numbering of :func:`_st_order` for an edge (s, t), checked before it is returned.
+    """The st-numbering of :func:`_st_order` for an edge (s, t).
 
     Raises ValueError unless (s, t) is an edge, then NotBiconnectedError if ``g`` is not 2-connected.
     """
     if not g.has_edge(s, t):
         raise ValueError(f"({s}, {t}) is not a graph edge")
-    result = _st_order(g, s, t)
-    if not validate_st_numbering(g, result, s, t):
-        raise AssertionError(f"st_numbering built an invalid order for ({s}, {t})")
-    return result
+    return _st_order(g, s, t)
 
 
 def _st_order(g: Graph, s: int, t: int) -> STNumbering:
-    """An st-numbering of ``g`` plus the edge (s, t), unchecked.
+    """An st-numbering of ``g`` plus the edge (s, t), checked before it is returned.
 
     Depth-first search from t taking the edge (t, s) first gives lowpoints,
     which decide biconnectivity; a second pass peels paths of unplaced
@@ -136,7 +133,8 @@ def _st_order(g: Graph, s: int, t: int) -> STNumbering:
     its lower end is placed, so one flag per vertex replaces a set of used
     edges.  Neighbor lists are scanned in ascending order.  The edge (s, t)
     is never read (t leaves along it first, s skips t, its parent), so ``g``
-    need not hold it.  Raises NotBiconnectedError unless ``g`` + (s, t) is 2-connected.
+    need not hold it.  Raises NotBiconnectedError unless ``g`` + (s, t) is 2-connected,
+    and AssertionError (also under ``python -O``) if the order fails the check.
     """
     search = _lowpoint_search(g, s, t)
     if search is None:
@@ -161,16 +159,25 @@ def _st_order(g: Graph, s: int, t: int) -> STNumbering:
                         u = step[u]
                     work += reversed(path)
         order.append(v)
-    return STNumbering(tuple(order))
+    del search, parent, children, down_backs, low_next  # not held through the check
+    result = STNumbering(tuple(order))
+    if not _is_st_order(g, result, s, t):
+        raise AssertionError(f"st_numbering built an invalid order for ({s}, {t})")
+    return result
 
 
 def validate_st_numbering(g: Graph, num: STNumbering, s: int, t: int) -> bool:
     """Check the three defining conditions of an st-numbering for (s, t)."""
+    return _is_st_order(g, num, s, t) and g.has_edge(s, t)
+
+
+def _is_st_order(g: Graph, num: STNumbering, s: int, t: int) -> bool:
+    """Whether ``num`` numbers ``g`` plus the edge (s, t); exact unless s or t is isolated in ``g``."""
     try:
         _extreme_neighbors(g, num)
     except ValueError:
         return False
-    return num.order[0] == s and num.order[-1] == t and g.has_edge(s, t)
+    return num.order[0] == s and num.order[-1] == t
 
 
 def _extreme_neighbors(g: Graph, num: STNumbering) -> tuple[list[int], list[int]]:

@@ -3,12 +3,12 @@
 Given distinct anchors u1, u2 and a size n1, split the vertices into V1 (with
 u1, size n1) and V2 (with u2) so that both parts induce connected subgraphs.
 A prefix of an st-numbering induces a connected subgraph, and so does a
-suffix, which turns the problem into choosing the right numbering.
+suffix, so one numbering of g plus the edge (u1, u2), cut after n1, does it.
 """
 
 from __future__ import annotations
 
-from .connectivity import NotBiconnectedError, _extreme_neighbors, _st_order, st_numbering
+from .connectivity import NotBiconnectedError, _st_order, is_biconnected
 from .graph import Graph
 
 
@@ -52,11 +52,11 @@ def partition2(g: Graph, u1: int, u2: int, n1: int) -> tuple[set[int], set[int]]
 def partition2_with_strategy(g: Graph, u1: int, u2: int, n1: int) -> tuple[set[int], set[int], str]:
     """Same as :func:`partition2` but also reports which strategy produced it.
 
-    Cuts after position n1 the st-numbering from u1 along the edge to u2
-    ("direct-edge", which puts u2 last), else along u1's lowest neighbor if
-    u2 falls after the cut ("from-first-anchor"), else that of g plus a
-    virtual edge (u1, u2), valid in g too since only edges at interior
-    vertices connect a prefix or a suffix ("virtual-edge").
+    Cuts after position n1 the st-numbering of g plus the edge (u1, u2):
+    "direct-edge" if g has that edge, else "virtual-edge".  Only edges at
+    interior vertices connect a prefix or a suffix, so the cut is valid in g
+    too.  g plus (u1, u2) can be 2-connected when g is not, hence the
+    :func:`is_biconnected` test before a virtual edge.
     """
     if u1 == u2:
         raise ValueError("anchors must be distinct")
@@ -66,18 +66,10 @@ def partition2_with_strategy(g: Graph, u1: int, u2: int, n1: int) -> tuple[set[i
         raise ValueError(f"n1 must be in [1, {g.n - 1}], got {n1}")
     if not g.adj[u1]:
         raise NotBiconnectedError(f"anchor {u1} has no neighbor")
-    strategy = "direct-edge" if g.has_edge(u1, u2) else "from-first-anchor"
-    num = st_numbering(g, u1, u2 if strategy == "direct-edge" else min(g.adj[u1]))
-    if num.positions[u2] <= n1:
-        num, strategy = _st_order(g, u1, u2), "virtual-edge"
-        # No anchor is isolated, so this is validate_st_numbering in g plus (u1, u2).
-        try:
-            _extreme_neighbors(g, num)
-            valid = (num.order[0], num.order[-1]) == (u1, u2)
-        except ValueError:
-            valid = False
-        if not valid:
-            raise AssertionError(f"partition2 built an invalid order for ({u1}, {u2}) as an edge")
+    strategy = "direct-edge" if g.has_edge(u1, u2) else "virtual-edge"
+    if strategy == "virtual-edge" and not is_biconnected(g):
+        raise NotBiconnectedError("st-numbering requires a 2-vertex-connected graph")
+    num = _st_order(g, u1, u2)
     v1, v2 = set(num.order[:n1]), set(num.order[n1:])
     problem = validate_partition2(g, v1, v2, u1, u2, n1)
     if problem is not None:

@@ -163,6 +163,9 @@ def test_positions_table_matches_order():
 
 
 def test_st_numbering_result_is_checked(monkeypatch):
-    monkeypatch.setattr(treewalk.connectivity, "validate_st_numbering", lambda *args: False)
-    with pytest.raises(AssertionError, match="invalid order"):
+    def refuse(*args):
+        raise ValueError("forced")
+
+    monkeypatch.setattr(treewalk.connectivity, "_extreme_neighbors", refuse)
+    with pytest.raises(AssertionError, match=r"^st_numbering built an invalid order for \(0, 1\)$"):
         st_numbering(graphs.C4, 0, 1)

@@ -8,6 +8,7 @@ import pytest
 from treewalk import (
     Graph,
     NotBiconnectedError,
+    is_biconnected,
     partition2,
     partition2_with_strategy,
     random_biconnected_graph,
@@ -16,6 +17,7 @@ from treewalk import (
 
 import graphs
 import treewalk.connectivity
+import treewalk.partition
 
 
 def test_triangle_example():
@@ -27,7 +29,7 @@ def test_triangle_example():
 def test_each_strategy_is_reachable():
     cases = [
         ("direct-edge", (graphs.TRIANGLE, 0, 1, 1)),
-        ("from-first-anchor", (graphs.C4, 0, 2, 1)),
+        ("virtual-edge", (graphs.C4, 0, 2, 1)),
         ("virtual-edge", (graphs.C4, 0, 2, 3)),
         ("virtual-edge", (graphs.C6, 0, 4, 3)),
     ]
@@ -72,20 +74,64 @@ def test_random_instances():
         assert validate_partition2(g, v1, v2, u1, u2, n1) is None
 
 
-def test_at_most_two_st_numberings_per_partition(monkeypatch):
-    searches = []
-    search = treewalk.connectivity._lowpoint_search
+def test_one_st_numbering_per_partition(monkeypatch):
+    # Non-adjacent anchors also run is_biconnected's search before the numbering.
+    searches, orders = [], []
+    search, st_order = treewalk.connectivity._lowpoint_search, treewalk.partition._st_order
 
-    def counted(g, s, t):
+    def counted_search(g, s, t):
         searches.append((s, t))
         return search(g, s, t)
 
-    monkeypatch.setattr(treewalk.connectivity, "_lowpoint_search", counted)
+    def counted_order(g, s, t):
+        orders.append((s, t))
+        return st_order(g, s, t)
+
+    monkeypatch.setattr(treewalk.connectivity, "_lowpoint_search", counted_search)
+    monkeypatch.setattr(treewalk.partition, "_st_order", counted_order)
     for label, g, u1, u2, n1 in itertools.chain(_small_corpus(), _random_instances()):
         searches.clear()
+        orders.clear()
         partition2(g, u1, u2, n1)
-        limit = 1 if g.has_edge(u1, u2) else 2
-        assert 1 <= len(searches) <= limit, f"{label} u1={u1} u2={u2} n1={n1}: {searches}"
+        expected = 1 if g.has_edge(u1, u2) else 2
+        assert orders == [(u1, u2)], f"{label} u1={u1} u2={u2} n1={n1}: {orders}"
+        assert len(searches) == expected, f"{label} u1={u1} u2={u2} n1={n1}: {searches}"
+
+
+def test_partition_numbering_is_checked(monkeypatch):
+    # The check inside _st_order guards a partition's virtual-edge numbering
+    # as it guards st_numbering.
+    def refuse(*args):
+        raise ValueError("forced")
+
+    monkeypatch.setattr(treewalk.connectivity, "_extreme_neighbors", refuse)
+    with pytest.raises(AssertionError, match=r"^st_numbering built an invalid order for \(0, 2\)$"):
+        partition2(graphs.C4, 0, 2, 1)
+
+
+def test_refusals_match_is_biconnected_on_the_atlas():
+    # Every graph on 3..6 vertices, every ordered anchor pair and every n1:
+    # a partition refuses exactly the graphs that are not 2-connected, also
+    # where g plus (u1, u2) would be.
+    nx = pytest.importorskip("networkx")
+    calls = refusals = 0
+    for h in nx.graph_atlas_g():
+        if not 3 <= h.number_of_nodes() <= 6:
+            continue
+        g = Graph.from_edges(h.number_of_nodes(), list(h.edges()))
+        biconnected = is_biconnected(g)
+        for u1, u2 in itertools.permutations(range(g.n), 2):
+            for n1 in range(1, g.n):
+                calls += 1
+                try:
+                    v1, v2 = partition2(g, u1, u2, n1)
+                except NotBiconnectedError:
+                    refusals += 1
+                    assert not biconnected, (sorted(g.edges), u1, u2, n1)
+                    continue
+                assert biconnected, (sorted(g.edges), u1, u2, n1)
+                assert validate_partition2(g, v1, v2, u1, u2, n1) is None
+    assert (calls, refusals) == (26564, 17244)
 
 
 def test_rejects_bad_inputs():

@@ -216,11 +216,12 @@ def test_walk_from_canonical_milestone_check_survives_optimized_mode():
     # must still raise there.  A stage patched to move nothing leaves vertex 1
     # on its canonical parent 2, which misses the first milestone (1 under 0),
     # and a numbering that is not an st-numbering is rejected up front.
-    # st_numbering checks its own result, and a graph file the bulk reader
-    # turns down still gets the line reader's exact message.  The corrupt
-    # state of test_gap_sequence_leaf_claim_fires_on_corrupt_state fails its
-    # stage's certificate with a vertex that is not a leaf, and a state off
-    # its milestone with no such vertex fails it with the milestone message.
+    # _st_order checks the order it builds for st_numbering, and a graph
+    # file the bulk reader turns down still gets the line reader's exact
+    # message.  The corrupt state of
+    # test_gap_sequence_leaf_claim_fires_on_corrupt_state fails its stage's
+    # certificate with a vertex that is not a leaf, and a state off its
+    # milestone with no such vertex fails it with the milestone message.
     code = (
         "import sys\n"
         "import treewalk.connectivity\n"
@@ -240,7 +241,9 @@ def test_walk_from_canonical_milestone_check_survives_optimized_mode():
         "    walk_from_canonical(g, STNumbering((0, 2, 1, 3)), target)\n"
         "except ValueError as exc:\n"
         "    print('raised:', exc)\n"
-        "treewalk.connectivity.validate_st_numbering = lambda *args: False\n"
+        "def refuse(*args):\n"
+        "    raise ValueError('forced')\n"
+        "treewalk.connectivity._extreme_neighbors = refuse\n"
         "try:\n"
         "    st_numbering(g, 0, 1)\n"
         "except AssertionError as exc:\n"
